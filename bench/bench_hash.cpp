@@ -1,5 +1,5 @@
 // Hash-path microbenchmark: single-lane hash_words vs. the multi-lane
-// batched hash_words_lanes (the compiled executors' hash phase), across
+// batched hash_words_lanes (the compiled executor's hash phase), across
 // key widths and burst sizes.
 //
 // Single-lane CRC is latency-bound: each word's slicing-by-4 lookup chains
@@ -7,8 +7,7 @@
 // The lanes path interleaves four independent accumulator chains, turning
 // the same table lookups into parallel streams.  The ratio printed here is
 // the raw memory-level-parallelism headroom the executor's burst schedule
-// taps; BENCH_runtime.json's "mlp" block shows how much survives end to
-// end.
+// taps; docs/compile.md records how much of it survives end to end.
 //
 //   bench_hash [--reps N]    hash calls per measurement (default sized so
 //                            a full run takes a few seconds)

@@ -83,11 +83,8 @@ struct Sample {
   std::size_t shards = 0;
   std::size_t burst = 0;
   bool jit = true;
-  bool mlp = true;  // three-phase burst schedule on (false = op-major)
   uint64_t jit_packets = 0;
-  uint64_t jit_fused_packets = 0;
   uint64_t jit_hash_lanes = 0;
-  uint64_t jit_hash_cse_lanes = 0;
   uint64_t jit_prefetch_issued = 0;
   uint64_t wall = 0;
   uint64_t demux_cpu = 0;
@@ -103,12 +100,8 @@ struct Sample {
   double model_pps = 0.0;
 };
 
-// 0 = executor default (ExecOptions::prefetch_distance); overridable with
-// --prefetch-distance.
-std::size_t g_prefetch_distance = 0;
-
 Sample run_one(const Trace& t, std::size_t shards, std::size_t burst,
-               bool jit = true, bool mlp = true) {
+               bool jit = true) {
   // One run at a time in the global registry, so the exported metrics
   // block describes exactly the metrics-target run.
   telemetry::Registry::global().reset();
@@ -119,12 +112,6 @@ Sample run_one(const Trace& t, std::size_t shards, std::size_t burst,
   o.burst = burst;
   o.record_snapshots = false;  // measuring the data path, not the observer
   o.jit = jit;
-  if (g_prefetch_distance != 0) o.prefetch_distance = g_prefetch_distance;
-  if (!mlp) {  // isolate the memory-level-parallelism pass: compiled
-    o.jit_burst_schedule = false;  // executors, pre-MLP op-major execution
-    o.jit_hash_cse = false;
-    o.prefetch_distance = 0;
-  }
   ShardedRuntime rt(sw, o);
   QueryParams p;
   rt.install(make_q1(p));
@@ -142,7 +129,6 @@ Sample run_one(const Trace& t, std::size_t shards, std::size_t burst,
   s.shards = shards;
   s.burst = burst;
   s.jit = jit;
-  s.mlp = mlp;
   s.wall = w1 - w0;
   s.demux_cpu = c1 - c0;
   const RuntimeStats& st = rt.stats();
@@ -150,9 +136,7 @@ Sample run_one(const Trace& t, std::size_t shards, std::size_t burst,
     s.worker_cpu.push_back(ws.busy_ns);
     if (ws.busy_ns > s.max_worker_cpu) s.max_worker_cpu = ws.busy_ns;
     s.jit_packets += ws.jit_packets;
-    s.jit_fused_packets += ws.jit_fused_packets;
     s.jit_hash_lanes += ws.jit_hash_lanes;
-    s.jit_hash_cse_lanes += ws.jit_hash_cse_lanes;
     s.jit_prefetch_issued += ws.jit_prefetch_issued;
   }
   s.stalls = st.backpressure_stalls;
@@ -207,14 +191,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--min-jit-speedup") == 0 &&
                i + 1 < argc) {
       min_jit_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--prefetch-distance") == 0 &&
-               i + 1 < argc) {
-      g_prefetch_distance = static_cast<std::size_t>(std::atol(argv[++i]));
     } else {
       std::fprintf(stderr,
                    "usage: bench_runtime [--shards N] [--burst B1,B2,...] "
-                   "[--packets N] [--pcap FILE] [--prefetch-distance D] "
-                   "[--min-wall-speedup X] [--min-jit-speedup X]\n");
+                   "[--packets N] [--pcap FILE] [--min-wall-speedup X] "
+                   "[--min-jit-speedup X]\n");
       return 2;
     }
   }
@@ -254,7 +235,7 @@ int main(int argc, char** argv) {
         "shards=%zu  burst=%3zu  jit=%s  wall=%7.1f ms  wall_pps=%9.0f  "
         "model_pps=%9.0f  demux_cpu=%6.1f ms  max_worker_cpu=%6.1f ms  "
         "stalls=%llu\n",
-        s.shards, s.burst, !s.jit ? "off" : s.mlp ? "on " : "mlp-off",
+        s.shards, s.burst, s.jit ? "on " : "off",
         s.wall / 1e6, s.wall_pps,
         s.model_pps, s.demux_cpu / 1e6, s.max_worker_cpu / 1e6,
         static_cast<unsigned long long>(s.stalls));
@@ -284,11 +265,6 @@ int main(int argc, char** argv) {
   // pure executor cost, so the ratio is the compiled-path speedup.
   const Sample sji = run_one(t, 1, kDefaultBurst, /*jit=*/false);
   print_sample(sji);
-  // Memory-level-parallelism pass in isolation: jit on, but the whole
-  // three-phase burst schedule off — the pre-MLP op-major executors.
-  const Sample smlp = run_one(t, 1, kDefaultBurst, /*jit=*/true,
-                              /*mlp=*/false);
-  print_sample(smlp);
   bench::row_sep();
 
   const Sample& s1 = samples[0];
@@ -302,16 +278,10 @@ int main(int argc, char** argv) {
               speedup_model, speedup_wall);
   const double speedup_jit = s1.model_pps / sji.model_pps;
   std::printf("1-shard jit speedup: model %.2fx (compiled %llu/%zu packets, "
-              "fused %llu)\n",
+              "hash lanes %llu, prefetch %llu)\n",
               speedup_jit,
               static_cast<unsigned long long>(s1.jit_packets), t.size(),
-              static_cast<unsigned long long>(s1.jit_fused_packets));
-  const double speedup_mlp = s1.model_pps / smlp.model_pps;
-  std::printf("1-shard mlp speedup: model %.2fx (hash lanes %llu, cse-saved "
-              "%llu, prefetch %llu)\n",
-              speedup_mlp,
               static_cast<unsigned long long>(s1.jit_hash_lanes),
-              static_cast<unsigned long long>(s1.jit_hash_cse_lanes),
               static_cast<unsigned long long>(s1.jit_prefetch_issued));
 
   FILE* f = std::fopen("BENCH_runtime.json", "w");
@@ -364,7 +334,9 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  ],\n");
   }
   // Compiled-executor block: the jit-off leg re-runs n=1 with the same
-  // trace/burst, so model_pps ratio isolates the executor swap.
+  // trace/burst, so model_pps ratio isolates the executor swap.  The
+  // burst-schedule counters (batched hash lanes, prefetch hints) come from
+  // the jit-on n=1 run.
   std::fprintf(f, "  \"jit\": {\n");
   std::fprintf(f, "    \"enabled_default\": true,\n");
   std::fprintf(f, "    \"model_pps_1shard\": %.0f,\n", s1.model_pps);
@@ -372,21 +344,8 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"speedup_model_1shard\": %.3f,\n", speedup_jit);
   std::fprintf(f, "    \"jit_packets\": %llu,\n",
                static_cast<unsigned long long>(s1.jit_packets));
-  std::fprintf(f, "    \"jit_fused_packets\": %llu\n",
-               static_cast<unsigned long long>(s1.jit_fused_packets));
-  std::fprintf(f, "  },\n");
-  // Memory-level-parallelism pass (batched hashing + hash-CSE + state
-  // prefetch, docs/compile.md): the mlp-off leg runs the same compiled
-  // executors with the burst schedule fully disabled (plain op-major).
-  std::fprintf(f, "  \"mlp\": {\n");
-  std::fprintf(f, "    \"model_pps_1shard\": %.0f,\n", s1.model_pps);
-  std::fprintf(f, "    \"model_pps_1shard_mlp_off\": %.0f,\n",
-               smlp.model_pps);
-  std::fprintf(f, "    \"speedup_model_1shard\": %.3f,\n", speedup_mlp);
   std::fprintf(f, "    \"hash_lanes\": %llu,\n",
                static_cast<unsigned long long>(s1.jit_hash_lanes));
-  std::fprintf(f, "    \"hash_cse_lanes_saved\": %llu,\n",
-               static_cast<unsigned long long>(s1.jit_hash_cse_lanes));
   std::fprintf(f, "    \"prefetch_issued\": %llu\n",
                static_cast<unsigned long long>(s1.jit_prefetch_issued));
   std::fprintf(f, "  },\n");

@@ -40,6 +40,7 @@
 #include <cstring>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 
 #include "analyzer/analyzer.h"
@@ -144,7 +145,7 @@ int cmd_csv(int argc, char** argv) {
 // ...]` installs the named queries (default: all nine) through the sharded
 // runtime and prints the operator view of the installed set: tenant, qids,
 // per-stage resource usage (core/admission.h demand vectors) and each
-// branch's JIT coverage state (fused / compiled / interp) from the same
+// branch's JIT coverage state (compiled / interp) from the same
 // coverage the newton_jit_query_compiled gauge exports.
 int cmd_queries(int argc, char** argv) {
   if (argc < 3) {
@@ -186,26 +187,23 @@ int cmd_queries(int argc, char** argv) {
   }
   rt.start();  // clones replicas and lowers the installed chains
 
-  std::map<uint16_t, compile::QueryCoverage> cov;
-  for (const compile::QueryCoverage& c : rt.jit_coverage()) cov[c.qid] = c;
+  std::set<uint16_t> compiled;
+  for (const compile::QueryCoverage& c : rt.jit_coverage())
+    if (c.compiled) compiled.insert(c.qid);
   const auto jit_state = [&](const std::vector<uint16_t>& qids) {
-    bool all_fused = !qids.empty(), any_compiled = false;
-    for (uint16_t qid : qids) {
-      const auto it = cov.find(qid);
-      const bool compiled = it != cov.end() && it->second.compiled;
-      const bool fused = it != cov.end() && it->second.fused;
-      any_compiled |= compiled;
-      all_fused &= fused;
-    }
-    return all_fused ? "fused" : any_compiled ? "compiled" : "interp";
+    for (uint16_t qid : qids)
+      if (compiled.count(qid) != 0) return "compiled";
+    return "interp";
   };
 
   std::printf("%-18s %-10s %-8s %-6s %-6s %-6s %s\n", "query", "tenant",
               "jit", "rules", "regs", "init", "qids");
   for (const Controller::QueryInfo& info : rt.controller().list_queries()) {
     std::string qids;
-    for (uint16_t q : info.qids)
-      qids += (qids.empty() ? "" : ",") + std::to_string(q);
+    for (uint16_t q : info.qids) {
+      if (!qids.empty()) qids += ',';
+      qids += std::to_string(q);
+    }
     std::printf("%-18s %-10s %-8s %-6zu %-6zu %-6zu [%s]\n",
                 info.name.c_str(), info.tenant.c_str(),
                 jit_state(info.qids), info.demand->total_rules,

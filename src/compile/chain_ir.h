@@ -33,12 +33,9 @@ class Pipeline;
 
 namespace compile {
 
-// Lowered opcode.  H and S split by mode so the executors are branch-free
-// on the mode flags, and so the chain-shape signature distinguishes e.g. a
-// filter's direct/bypass suite from a sketch's hash/SALU suite.
+// Lowered opcode.  H and S split by mode so the executor is branch-free
+// on the mode flags.
 enum class OpKind : uint8_t { K, HHash, HDirect, SOp, SBypass, R };
-
-inline constexpr std::size_t kNumOpKinds = 6;
 
 // One lowered module rule.  POD with the rule parameters constant-folded;
 // non-owning pointers (register bank, report sink, hit cell) reference the
@@ -51,19 +48,6 @@ struct ChainOp {
   // several chains execute over one run of packets.
   uint32_t order = 0;
   uint64_t* hits = nullptr;  // source module's rule-hit cell
-
-  // --- burst-schedule plan (plan_chain; single-chain/fused execution) ---
-  // HHash: which entry of Chain::digests holds this op's raw digest —
-  // hash-CSE maps every op with the same (algo, seed, effective masks) to
-  // one slot, so the batched hash phase computes each digest once per lane.
-  int16_t digest_slot = -1;
-  // SOp fed by a planned HHash: which per-run index-lane block holds this
-  // op's resolved register indices (prefetch phase), and the feeding H's
-  // digest slot + result mapping to recompute hash_result from the digest.
-  int16_t sidx_block = -1;
-  int16_t feed_slot = -1;
-  uint32_t feed_offset = 0;
-  uint32_t feed_width = 1;
 
   // K
   std::array<uint32_t, kNumFields> masks{};
@@ -92,68 +76,27 @@ struct ChainOp {
   uint32_t switch_id = 0;
 };
 
-// Chain-shape signature: the op-kind sequence packed 4 bits per op, first
-// op in the high nibble.  128 bits holds 32 ops — enough for every chain
-// the scheduler can place today (the widest evaluation chain, q3/q5's
-// two-phase distinct+reduce, lowers to 17 ops).
-using Signature = unsigned __int128;
-
-// One distinct digest the batched hash phase computes per burst lane.
-// Fully identifies the digest value given a packet: the hash suite, the
-// instance seed, and the effective per-field masks the feeding K applied
-// (keys[f] = pkt.fields[f] & masks[f], so hashing the masked packet fields
-// directly is bit-identical to hashing the staged keys).
+// One digest an HHash op computes per packet, fully identified given the
+// packet: the hash suite, the instance seed, and the effective per-field
+// masks the feeding K applied (keys[f] = pkt.fields[f] & masks[f], so
+// hashing the masked packet fields directly is bit-identical to hashing
+// the staged keys).  The executor's batched hash phase computes these.
 struct DigestSpec {
   HashAlgo algo = HashAlgo::Crc32;
   uint32_t seed = 0;
   std::array<uint32_t, kNumFields> masks{};
-  uint64_t fingerprint = 0;  // fast inequality filter for CSE dedup
 };
-
-inline uint64_t digest_fingerprint(HashAlgo algo, uint32_t seed,
-                                   const std::array<uint32_t, kNumFields>&
-                                       masks) {
-  uint64_t fp = (uint64_t{static_cast<uint8_t>(algo)} << 32) | seed;
-  for (uint32_t m : masks) {
-    fp ^= m;
-    fp *= 0x9E3779B97F4A7C15ull;
-    fp ^= fp >> 29;
-  }
-  return fp;
-}
 
 // A query's full lowered chain, ops in interpreter visit order.
 struct Chain {
   uint16_t qid = 0;
-  Signature signature = 0;  // packed op-kind sequence; 0 = too long to pack
   std::vector<ChainOp> ops;
-  // Burst-schedule plan (plan_chain): the distinct digests this chain's
-  // HHash ops need (digest_slot indexes here), the number of HHash ops CSE
-  // folded away (telemetry), and the number of precomputed index-lane
-  // blocks its planned S ops consume (sidx_block indexes [0, sidx_blocks)).
+  // One DigestSpec per HHash op, in op order, with the masks the chain's
+  // own K ops leave in the op's metadata set (perfbench/layers.cpp times
+  // the hash kernel at exactly these).  The executor plans each run's
+  // digests over the merged op sequence instead (executor.cpp).
   std::vector<DigestSpec> digests;
-  uint32_t cse_ops = 0;
-  int16_t sidx_blocks = 0;
 };
-
-// Keys the compile-time registry of fused shape executors (executor.cpp);
-// chains longer than 32 ops don't fit and fall back to the generic
-// compiled loop (signature 0).
-inline Signature signature_of(const std::vector<ChainOp>& ops) {
-  if (ops.empty() || ops.size() > 32) return 0;
-  Signature sig = 0;
-  for (const ChainOp& op : ops)
-    sig = (sig << 4) | (static_cast<Signature>(op.kind) + 1);
-  return sig;
-}
-
-// Compile-time companion for building registry entries from a kind pack.
-template <OpKind... Ks>
-constexpr Signature pack_signature() {
-  Signature sig = 0;
-  ((sig = (sig << 4) | (static_cast<Signature>(Ks) + 1)), ...);
-  return sig;
-}
 
 struct Lowering {
   std::vector<Chain> chains;
@@ -165,20 +108,8 @@ struct Lowering {
 
 // Lower every installed chain of `pipe`.  Call with the replica quiesced
 // and (for R ops) after report sinks were rebound: the lowered ops capture
-// the sink pointers as constants.  Every chain is plan_chain()ed with
-// hash-CSE on; callers that want CSE off re-plan.
+// the sink pointers as constants.
 Lowering lower(Pipeline& pipe);
-
-// Compute the chain's static burst-schedule plan: assign each HHash op a
-// digest slot (deduplicating ops with identical (algo, seed, effective
-// masks) when `cse`), and each SOp whose hash input is fully produced by a
-// planned HHash a precomputed-index block plus the feed's digest mapping.
-// Sound for single-chain (fused) execution, where K ops run unconditionally
-// over all lanes and dead-lane results are never read; the merged
-// multi-chain path plans dynamically per run instead (executor.cpp),
-// because another chain's K can rewrite a metadata set between this
-// chain's K and H.  Idempotent: re-planning resets previous annotations.
-void plan_chain(Chain& chain, bool cse);
 
 }  // namespace compile
 }  // namespace newton

@@ -13,23 +13,9 @@ static_assert(sizeof(Phv) % sizeof(uint32_t) == 0,
               "hash phase strides packet fields by whole PHVs");
 inline constexpr std::size_t kPhvStrideWords = sizeof(Phv) / sizeof(uint32_t);
 
-// Below this run length the generic path skips dynamic planning: the plan
+// Below this run length the executor skips the burst schedule: the plan
 // walk would cost about as much as the run itself.
 inline constexpr std::size_t kGenericPlanMinRun = 4;
-
-void BurstBuffers::resize(std::size_t cap, std::size_t digest_rows,
-                          std::size_t sidx_rows) {
-  capacity = cap;
-  for (std::size_t s = 0; s < kNumMetadataSets; ++s) {
-    keys[s].resize(cap * kNumFields);
-    hash[s].resize(cap);
-    state[s].resize(cap);
-  }
-  global.resize(cap);
-  alive.resize(cap);
-  digest.resize(digest_rows * cap);
-  sidx.resize(sidx_rows * cap);
-}
 
 namespace {
 
@@ -37,12 +23,10 @@ namespace {
 // from its feeding digest row (mapped through the feeding H's offset/width,
 // then the S op's guard and base — exactly the scalar math of the apply
 // path, so the precomputed index is the index), and prime the prefetch
-// stream with the first prefetch_distance lanes.
-void index_phase_op(BurstBuffers& b, const ChainOp& op, int16_t slot,
-                    uint32_t offset, uint32_t width, std::size_t block,
-                    std::size_t n) {
-  const uint32_t* dig = b.digest_row(slot);
-  uint32_t* idx = b.sidx_row(block);
+// stream with the first kPrefetchDistance lanes.
+void index_phase_op(const ChainOp& op, const uint32_t* dig, uint32_t offset,
+                    uint32_t width, uint32_t* idx, std::size_t n,
+                    ExecStats& stats) {
   RegisterArray& regs = *op.regs;
   const std::size_t size = regs.size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -53,11 +37,11 @@ void index_phase_op(BurstBuffers& b, const ChainOp& op, int16_t slot,
                  : static_cast<uint32_t>(
                        (op.index_base + (h - op.guard_lo)) % size);
   }
-  const std::size_t d = std::min(b.prefetch_distance, n);
+  const std::size_t d = std::min(kPrefetchDistance, n);
   for (std::size_t i = 0; i < d; ++i) {
     if (idx[i] == kMissIndex) continue;
     regs.prefetch(idx[i]);
-    ++b.stats.prefetch_issued;
+    ++stats.prefetch_issued;
   }
 }
 
@@ -66,14 +50,12 @@ bool stops(const ChainOp& op) {
          op.on_miss == RAction::Stop || op.on_miss == RAction::ReportStop;
 }
 
-// ---------------------------------------------------------------------------
-// Generic compiled path: merged ops executed op-major directly on the PHVs.
-// Each case mirrors its module's execute() body exactly (core/modules.cpp),
-// minus the table lookup — the rule parameters are already folded into the
-// op.  The active-bit guard stays per packet: a Stop from an earlier R in
-// the merged sequence must silence the rest of the chain, as it does when
-// the interpreter's tables re-test the bit.
-// ---------------------------------------------------------------------------
+// Unplanned ops, executed op-major directly on the PHVs.  Each case
+// mirrors its module's execute() body exactly (core/modules.cpp), minus the
+// table lookup — the rule parameters are already folded into the op.  The
+// active-bit guard stays per packet: a Stop from an earlier R in the merged
+// sequence must silence the rest of the chain, as it does when the
+// interpreter's tables re-test the bit.
 
 void generic_op(const ChainOp& op, Phv* phvs, std::size_t n) {
   uint64_t hits = 0;
@@ -183,16 +165,15 @@ void generic_op(const ChainOp& op, Phv* phvs, std::size_t n) {
   *op.hits += hits;
 }
 
-// Apply-phase bodies for planned ops in the generic path.  Only ops BEFORE
-// the first stop-capable R are ever planned (plan_generic), and within a
-// run every lane starts with the identical active set, so the per-packet
-// active guard is all-true here by construction — the loops run
-// unconditionally and credit n hits, exactly what generic_op would do.
+// Apply-phase bodies for planned ops.  Only ops BEFORE the first
+// stop-capable R are ever planned (plan_generic), and within a run every
+// lane starts with the identical active set, so the per-packet active guard
+// is all-true here by construction — the loops run unconditionally and
+// credit n hits, exactly what generic_op would do.
 
-void generic_planned_h(const ChainOp& op, BurstBuffers& b, Phv* phvs,
-                       std::size_t n, int16_t slot) {
+void planned_h(const ChainOp& op, const uint32_t* dig, Phv* phvs,
+               std::size_t n) {
   *op.hits += n;
-  const uint32_t* dig = b.digest_row(slot);
   for (std::size_t i = 0; i < n; ++i) {
     const uint32_t v = dig[i];
     phvs[i].sets[op.set].hash_result =
@@ -200,16 +181,14 @@ void generic_planned_h(const ChainOp& op, BurstBuffers& b, Phv* phvs,
   }
 }
 
-void generic_planned_s(const ChainOp& op, BurstBuffers& b, Phv* phvs,
-                       std::size_t n, std::size_t block) {
+void planned_s(const ChainOp& op, const uint32_t* idx, Phv* phvs,
+               std::size_t n, ExecStats& stats) {
   *op.hits += n;
   RegisterArray& regs = *op.regs;
-  const uint32_t* idx = b.sidx_row(block);
-  const std::size_t d = b.prefetch_distance;
   for (std::size_t i = 0; i < n; ++i) {
-    if (d != 0 && i + d < n && idx[i + d] != kMissIndex) {
-      regs.prefetch(idx[i + d]);
-      ++b.stats.prefetch_issued;
+    if (i + kPrefetchDistance < n && idx[i + kPrefetchDistance] != kMissIndex) {
+      regs.prefetch(idx[i + kPrefetchDistance]);
+      ++stats.prefetch_issued;
     }
     MetadataSet& set = phvs[i].sets[op.set];
     if (idx[i] == kMissIndex) {
@@ -222,287 +201,13 @@ void generic_planned_s(const ChainOp& op, BurstBuffers& b, Phv* phvs,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Fused path: one executor per registered chain shape, ops dispatched at
-// compile time over the SoA burst buffers.  K and the direct/bypass moves
-// run unconditionally across the run — dead (stopped) lanes compute
-// results nothing will read, which costs less than a branch per lane —
-// while everything with side effects outside the buffers (SALU register
-// ops, report emission) honors the alive mask strictly.  Rule-hit cells
-// advance by the alive count, matching the interpreter's active-guarded
-// lookups.
-// ---------------------------------------------------------------------------
-
-template <OpKind KIND>
-void fused_op(const ChainOp& op, BurstBuffers& b, const Phv* phvs,
-              std::size_t n);
-
-template <>
-void fused_op<OpKind::K>(const ChainOp& op, BurstBuffers& b, const Phv* phvs,
-                         std::size_t n) {
-  *op.hits += b.alive_n;
-  uint32_t* dst = b.keys[op.set].data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const uint32_t* src = phvs[i].pkt.fields.data();
-    for (std::size_t f = 0; f < kNumFields; ++f)
-      dst[i * kNumFields + f] = src[f] & op.masks[f];
-  }
-}
-
-template <>
-void fused_op<OpKind::HHash>(const ChainOp& op, BurstBuffers& b, const Phv*,
-                             std::size_t n) {
-  *op.hits += b.alive_n;
-  uint32_t* hash = b.hash[op.set].data();
-  if (op.digest_slot >= 0) {
-    // Hash phase already computed this op's raw digest for every lane;
-    // just map it through offset/width.  Unconditional across lanes —
-    // dead lanes' hash results are never read.
-    const uint32_t* dig = b.digest_row(op.digest_slot);
-    for (std::size_t i = 0; i < n; ++i) {
-      const uint32_t v = dig[i];
-      hash[i] = op.offset + (op.width == 0 ? v : v % op.width);
-    }
-    return;
-  }
-  const uint32_t* keys = b.keys[op.set].data();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!b.alive[i]) continue;
-    const uint32_t v =
-        hash_words(op.algo, op.seed,
-                   std::span<const uint32_t>(keys + i * kNumFields,
-                                             kNumFields));
-    hash[i] = op.offset + (op.width == 0 ? v : v % op.width);
-  }
-}
-
-template <>
-void fused_op<OpKind::HDirect>(const ChainOp& op, BurstBuffers& b, const Phv*,
-                               std::size_t n) {
-  *op.hits += b.alive_n;
-  const uint32_t* keys = b.keys[op.set].data();
-  uint32_t* hash = b.hash[op.set].data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const uint32_t v = keys[i * kNumFields + op.direct_index];
-    hash[i] = op.offset + (op.width == 0 ? v : v % op.width);
-  }
-}
-
-template <>
-void fused_op<OpKind::SBypass>(const ChainOp& op, BurstBuffers& b, const Phv*,
-                               std::size_t n) {
-  *op.hits += b.alive_n;
-  const uint32_t* hash = b.hash[op.set].data();
-  uint32_t* state = b.state[op.set].data();
-  for (std::size_t i = 0; i < n; ++i) state[i] = hash[i];
-}
-
-template <>
-void fused_op<OpKind::SOp>(const ChainOp& op, BurstBuffers& b,
-                           const Phv* phvs, std::size_t n) {
-  *op.hits += b.alive_n;
-  RegisterArray& regs = *op.regs;
-  uint32_t* state = b.state[op.set].data();
-  if (op.sidx_block >= 0) {
-    // Prefetch phase resolved every lane's register index (kMissIndex =
-    // guard miss); the loop keeps the prefetch stream prefetch_distance
-    // lanes ahead and hits the bank through the unchecked accessor — the
-    // index is already reduced mod size.
-    const uint32_t* idx = b.sidx_row(op.sidx_block);
-    const std::size_t d = b.prefetch_distance;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!b.alive[i]) continue;
-      if (d != 0 && i + d < n && idx[i + d] != kMissIndex) {
-        regs.prefetch(idx[i + d]);
-        ++b.stats.prefetch_issued;
-      }
-      if (idx[i] == kMissIndex) {
-        state[i] = kSMissValue;
-        continue;
-      }
-      const uint32_t operand = op.operand_is_pkt_len
-                                   ? phvs[i].pkt.get(Field::PktLen)
-                                   : op.operand;
-      state[i] = regs.execute_unchecked(op.sop, idx[i], operand);
-    }
-    return;
-  }
-  const std::size_t size = regs.size();
-  const uint32_t* hash = b.hash[op.set].data();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!b.alive[i]) continue;
-    const uint32_t h = hash[i];
-    if (h < op.guard_lo || h > op.guard_hi) {
-      state[i] = kSMissValue;
-      continue;
-    }
-    const uint32_t operand = op.operand_is_pkt_len
-                                 ? phvs[i].pkt.get(Field::PktLen)
-                                 : op.operand;
-    const std::size_t idx = (op.index_base + (h - op.guard_lo)) % size;
-    state[i] = regs.execute(op.sop, idx, operand);
-  }
-}
-
-template <>
-void fused_op<OpKind::R>(const ChainOp& op, BurstBuffers& b, const Phv* phvs,
-                         std::size_t n) {
-  *op.hits += b.alive_n;
-  const uint32_t* keys = b.keys[op.set].data();
-  const uint32_t* hash = b.hash[op.set].data();
-  const uint32_t* state = b.state[op.set].data();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!b.alive[i]) continue;
-    const uint32_t s = state[i];
-    uint32_t& g = b.global[i];
-    switch (op.combine) {
-      case RCombine::None: break;
-      case RCombine::Set: g = s; break;
-      case RCombine::Min: g = std::min(g, s); break;
-      case RCombine::Max: g = std::max(g, s); break;
-      case RCombine::Add: g += s; break;
-      case RCombine::Sub: g -= s; break;
-    }
-    const uint32_t v = op.match_on_global ? g : s;
-    const bool hit = v >= op.match_lo && v <= op.match_hi;
-    const RAction a = hit ? op.on_match : op.on_miss;
-    if (a == RAction::Continue) continue;
-    if ((a == RAction::Report || a == RAction::ReportStop) &&
-        op.sink != nullptr) {
-      ReportRecord rec;
-      rec.qid = op.qid;
-      rec.switch_id = op.switch_id;
-      rec.ts_ns = phvs[i].pkt.ts_ns;
-      std::copy_n(keys + i * kNumFields, kNumFields, rec.oper_keys.begin());
-      rec.hash_result = hash[i];
-      rec.state_result = s;
-      rec.global_result = g;
-      op.sink->report(rec);
-    }
-    if (a == RAction::Stop || a == RAction::ReportStop) {
-      b.alive[i] = 0;
-      --b.alive_n;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Compile-time shape registry (the CommRaT static-dispatch idiom): each
-// entry instantiates the full op sequence of one chain shape, so executing
-// a registered chain is a straight-line call with zero per-op dispatch.
-// The shapes below cover the suites the query compiler emits today —
-// filter (K,HDirect,SBypass,R), map/export (K,R), sketch/distinct/reduce
-// (K,HHash,SOp,R) incl. two-bank row partitions (…,SOp,SOp,…) — and their
-// two-suite compositions used by the standard bench queries and the
-// detector library.  An unlisted shape still runs compiled, through the
-// generic op loop above.
-// ---------------------------------------------------------------------------
-
-template <OpKind... Ks>
-struct ShapeRunner {
-  static void run(const Chain& c, BurstBuffers& b, const Phv* phvs,
-                  std::size_t n) {
-    std::size_t i = 0;
-    (fused_op<Ks>(c.ops[i++], b, phvs, n), ...);
-  }
-};
-
-struct ShapeEntry {
-  Signature sig;
-  FusedFn fn;
-};
-
-template <OpKind... Ks>
-constexpr ShapeEntry shape() {
-  return {pack_signature<Ks...>(), &ShapeRunner<Ks...>::run};
-}
-
-constexpr OpKind oK = OpKind::K;
-constexpr OpKind oH = OpKind::HHash;
-constexpr OpKind oD = OpKind::HDirect;
-constexpr OpKind oS = OpKind::SOp;
-constexpr OpKind oB = OpKind::SBypass;
-constexpr OpKind oR = OpKind::R;
-
-constexpr ShapeEntry kShapes[] = {
-    // One suite.
-    shape<oK, oR>(),
-    shape<oK, oH, oS, oR>(),
-    shape<oK, oH, oS, oS, oR>(),
-    shape<oK, oH, oB, oR>(),
-    shape<oK, oD, oB, oR>(),
-    shape<oK, oD, oS, oR>(),
-    // Two suites (filter/distinct feeding a reduce, and vice versa).
-    shape<oK, oH, oS, oR, oK, oH, oS, oR>(),
-    shape<oK, oH, oS, oR, oK, oH, oS, oS, oR>(),
-    shape<oK, oH, oS, oS, oR, oK, oH, oS, oR>(),
-    shape<oK, oH, oS, oS, oR, oK, oH, oS, oS, oR>(),
-    shape<oK, oD, oB, oR, oK, oH, oS, oR>(),
-    shape<oK, oH, oB, oR, oK, oH, oS, oR>(),
-    shape<oK, oH, oS, oR, oK, oD, oB, oR>(),
-    shape<oK, oH, oS, oR, oK, oR>(),
-    shape<oK, oR, oK, oH, oS, oR>(),
-    // Three suites (filter -> distinct -> reduce pipelines).
-    shape<oK, oD, oB, oR, oK, oH, oS, oR, oK, oH, oS, oR>(),
-    shape<oK, oH, oS, oR, oK, oH, oS, oR, oK, oH, oS, oR>(),
-    // The evaluation-query shapes as the scheduler actually interleaves
-    // them across stages (slot-major within a stage, so suites overlap):
-    // q1 new-TCP — two K tables up front, the per-row H/S pairs split, a
-    // three-R tail (per-row combines + the match/report rule).
-    shape<oK, oK, oH, oH, oS, oS, oR, oR, oR>(),
-    // q3 super-spreader / q5 UDP-DDoS — two-phase distinct->reduce over
-    // two sketch rows, fully interleaved by the stage packer.
-    shape<oK, oK, oH, oK, oH, oS, oK, oH, oS, oR, oH, oR, oS, oS, oR, oR,
-          oR>(),
-};
-
-FusedFn find_shape(Signature sig) {
-  if (sig == 0) return nullptr;
-  for (const ShapeEntry& e : kShapes)
-    if (e.sig == sig) return e.fn;
-  return nullptr;
-}
-
-// Does any op read a lane before an earlier op wrote it?  When not (every
-// standard suite: K fills keys, H fills hash from keys, S fills state from
-// hash, R reads all three), the fused load phase skips zeroing the lanes —
-// the interpreter's Phv::reset() zeroes are never observable.
-bool lanes_need_zero(const Chain& c) {
-  bool wk[kNumMetadataSets]{}, wh[kNumMetadataSets]{}, ws[kNumMetadataSets]{};
-  for (const ChainOp& op : c.ops) {
-    const std::size_t s = op.set;
-    switch (op.kind) {
-      case OpKind::K:
-        wk[s] = true;
-        break;
-      case OpKind::HHash:
-      case OpKind::HDirect:
-        if (!wk[s]) return true;
-        wh[s] = true;
-        break;
-      case OpKind::SOp:
-      case OpKind::SBypass:
-        if (!wh[s]) return true;
-        ws[s] = true;
-        break;
-      case OpKind::R:
-        if (!wk[s] || !wh[s] || !ws[s]) return true;
-        break;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
                              const ExecOptions& opts) {
   enabled_ = false;
-  opts_ = opts;
   chains_.clear();
   by_qid_.fill(nullptr);
-  fused_.fill(nullptr);
-  fused_zero_.reset();
   compiled_.reset();
   coverage_.clear();
   merged_.clear();
@@ -511,110 +216,32 @@ void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
   if (!l.ok) return;
   chains_ = std::move(l.chains);
   std::size_t total_ops = 0, total_h = 0, total_s = 0;
-  for (Chain& c : chains_) {
-    // lower() plans with CSE on; honor the knobs.  schedule == false strips
-    // the plan entirely, reverting every op to the pre-MLP execution.
-    if (!opts.schedule) {
-      c.digests.clear();
-      c.cse_ops = 0;
-      c.sidx_blocks = 0;
-      for (ChainOp& op : c.ops) {
-        op.digest_slot = -1;
-        op.sidx_block = -1;
-      }
-    } else if (!opts.hash_cse) {
-      plan_chain(c, /*cse=*/false);
-    }
-    for (ChainOp& op : c.ops) {
+  for (const Chain& c : chains_) {
+    for (const ChainOp& op : c.ops) {
       total_h += op.kind == OpKind::HHash ? 1 : 0;
       total_s += op.kind == OpKind::SOp ? 1 : 0;
-      // kMissIndex must stay unambiguous: unplan S ops over (absurdly)
-      // large banks rather than risk sentinel collision.
-      if (op.sidx_block >= 0 && op.regs->size() >= kMissIndex)
-        op.sidx_block = -1;
     }
     by_qid_[c.qid] = &c;
     compiled_.set(c.qid);
     total_ops += c.ops.size();
-    fused_[c.qid] = find_shape(c.signature);
-    if (fused_[c.qid] != nullptr && lanes_need_zero(c))
-      fused_zero_.set(c.qid);
-    coverage_.push_back({c.qid, true, fused_[c.qid] != nullptr});
+    coverage_.push_back({c.qid, true});
   }
   merged_.resize(total_ops);
-  ann_slot_.assign(total_ops, int16_t{-1});
-  ann_block_.assign(total_ops, -1);
+  ann_.assign(total_ops, -1);
   run_specs_.clear();
   run_specs_.reserve(total_h);
   run_sops_.clear();
   run_sops_.reserve(total_s);
-  buffers_.prefetch_distance = opts.prefetch_distance;
-  buffers_.resize(burst_capacity == 0 ? 1 : burst_capacity, total_h,
-                  total_s);
+  capacity_ = burst_capacity == 0 ? 1 : burst_capacity;
+  digest_.resize(total_h * capacity_);
+  sidx_.resize(total_s * capacity_);
   enabled_ = true;
 }
 
-bool CompiledPipeline::execute_run(Phv* phvs, std::size_t n) {
-  if (n == 0) return false;
-  const Phv& shape = phvs[0];
-  if (shape.active_list.size() == 1) {
-    const Chain* c = by_qid_[shape.active_list[0]];
-    if (c != nullptr && execute_fused(*c, phvs, n)) return true;
-  }
-  execute_generic(shape, phvs, n);
-  return false;
-}
-
-bool CompiledPipeline::execute_fused(const Chain& c, Phv* phvs,
-                                     std::size_t n) {
-  const FusedFn fn = fused_[c.qid];
-  if (fn == nullptr) return false;
-  BurstBuffers& b = buffers_;
-  // Load phase: mirror Phv::reset().  The global/alive lanes are always
-  // (re)initialized; the keys/hash/state lanes only when this chain could
-  // read one before writing it (lanes_need_zero at build).
-  b.alive_n = n;
-  std::fill_n(b.alive.begin(), n, uint8_t{1});
-  std::fill_n(b.global.begin(), n, 0u);
-  if (fused_zero_.test(c.qid)) {
-    for (std::size_t s = 0; s < kNumMetadataSets; ++s) {
-      std::fill_n(b.keys[s].begin(), n * kNumFields, 0u);
-      std::fill_n(b.hash[s].begin(), n, 0u);
-      std::fill_n(b.state[s].begin(), n, 0u);
-    }
-  }
-  // Phase 1 — batched hashing: each distinct digest the chain needs
-  // (plan_chain deduplicated them) is computed for all lanes at once,
-  // straight off the strided packet fields.  Dead lanes are hashed too;
-  // their results are never read, and skipping them would cost more in
-  // lane bookkeeping than the wasted CRCs.
-  if (!c.digests.empty()) {
-    const uint32_t* base = phvs[0].pkt.fields.data();
-    for (std::size_t d = 0; d < c.digests.size(); ++d) {
-      const DigestSpec& spec = c.digests[d];
-      hash_words_lanes(spec.algo, spec.seed, base, kNumFields,
-                       kPhvStrideWords, n, spec.masks.data(),
-                       b.digest_row(d));
-    }
-    b.stats.hash_lanes += c.digests.size() * n;
-    b.stats.hash_cse_lanes += c.cse_ops * n;
-    ++b.stats.planned_runs;
-  }
-  // Phase 2 — index resolution + prefetch priming for every planned S op.
-  for (const ChainOp& op : c.ops)
-    if (op.sidx_block >= 0)
-      index_phase_op(b, op, op.feed_slot, op.feed_offset, op.feed_width,
-                     static_cast<std::size_t>(op.sidx_block), n);
-  // Phase 3 — apply.
-  fn(c, b, phvs, n);
-  return true;
-}
-
-// Dynamic per-run plan for the generic (merged multi-chain) path.  Unlike
-// the fused path's static per-chain plan, the effective key masks seen by
-// an H op here depend on the MERGED op order — another chain's K can
-// rewrite a metadata set between this chain's K and H — so the plan walks
-// the merged sequence.  Planning is sound only while the run's lanes are
+// Per-run plan over the merged op sequence.  The effective key masks seen
+// by an H op depend on the MERGED op order — another chain's K can rewrite
+// a metadata set between this chain's K and H — so the plan walks the
+// merged sequence.  Planning is sound only while the run's lanes are
 // lockstep: every lane starts with the identical active set, so until the
 // first stop-capable R executes, every op runs on every lane and the
 // tracked masks/feeds are exact.  Ops at or after that R stay unplanned
@@ -622,53 +249,40 @@ bool CompiledPipeline::execute_fused(const Chain& c, Phv* phvs,
 void CompiledPipeline::plan_generic(std::size_t m, Phv* phvs, std::size_t n) {
   run_specs_.clear();
   run_sops_.clear();
-  std::fill_n(ann_slot_.begin(), m, int16_t{-1});
-  std::fill_n(ann_block_.begin(), m, -1);
+  std::fill_n(ann_.begin(), m, -1);
 
+  // The dataplane zeroes staged keys per packet before any K runs, so "no
+  // K yet" behaves exactly like an all-zero mask.
   static constexpr std::array<uint32_t, kNumFields> kZeroMasks{};
   const std::array<uint32_t, kNumFields>* masks[kNumMetadataSets];
   for (std::size_t s = 0; s < kNumMetadataSets; ++s) masks[s] = &kZeroMasks;
+  // Per-set hash_result provenance: digest row + (offset, width) mapping of
+  // the most recent HHash, or -1 when hash_result is not digest-derived (no
+  // H yet, or an HDirect overwrote it).
   struct Feed {
-    int16_t slot = -1;
+    int32_t slot = -1;
     uint32_t offset = 0;
     uint32_t width = 1;
   };
   Feed feed[kNumMetadataSets]{};
 
-  uint64_t folded = 0;
   for (std::size_t j = 0; j < m; ++j) {
     const ChainOp& op = *merged_[j];
     if (op.kind == OpKind::K) {
       masks[op.set] = &op.masks;
     } else if (op.kind == OpKind::HHash) {
-      const uint64_t fp = digest_fingerprint(op.algo, op.seed, *masks[op.set]);
-      int16_t slot = -1;
-      if (opts_.hash_cse) {
-        for (std::size_t d = 0; d < run_specs_.size(); ++d) {
-          const DigestSpec& spec = run_specs_[d];
-          if (spec.fingerprint == fp && spec.algo == op.algo &&
-              spec.seed == op.seed && spec.masks == *masks[op.set]) {
-            slot = static_cast<int16_t>(d);
-            ++folded;
-            break;
-          }
-        }
-      }
-      if (slot < 0) {
-        slot = static_cast<int16_t>(run_specs_.size());
-        run_specs_.push_back({op.algo, op.seed, *masks[op.set], fp});
-      }
-      ann_slot_[j] = slot;
+      const auto slot = static_cast<int32_t>(run_specs_.size());
+      run_specs_.push_back({op.algo, op.seed, *masks[op.set]});
+      ann_[j] = slot;
       feed[op.set] = {slot, op.offset, op.width};
     } else if (op.kind == OpKind::HDirect) {
       feed[op.set] = {};
     } else if (op.kind == OpKind::SOp) {
       if (feed[op.set].slot >= 0 && op.regs != nullptr &&
           op.regs->size() < kMissIndex) {
-        const int32_t block = static_cast<int32_t>(run_sops_.size());
-        ann_block_[j] = block;
+        ann_[j] = static_cast<int32_t>(run_sops_.size());
         run_sops_.push_back({&op, feed[op.set].slot, feed[op.set].offset,
-                             feed[op.set].width, block});
+                             feed[op.set].width});
       }
     } else if (op.kind == OpKind::R && stops(op)) {
       break;
@@ -680,24 +294,25 @@ void CompiledPipeline::plan_generic(std::size_t m, Phv* phvs, std::size_t n) {
   for (std::size_t d = 0; d < run_specs_.size(); ++d) {
     const DigestSpec& spec = run_specs_[d];
     hash_words_lanes(spec.algo, spec.seed, base, kNumFields, kPhvStrideWords,
-                     n, spec.masks.data(), buffers_.digest_row(d));
+                     n, spec.masks.data(), digest_row(d));
   }
-  buffers_.stats.hash_lanes += run_specs_.size() * n;
-  buffers_.stats.hash_cse_lanes += folded * n;
-  ++buffers_.stats.planned_runs;
-  for (const PlannedS& ps : run_sops_)
-    index_phase_op(buffers_, *ps.op, ps.slot, ps.offset, ps.width,
-                   static_cast<std::size_t>(ps.block), n);
+  stats_.hash_lanes += run_specs_.size() * n;
+  ++stats_.planned_runs;
+  for (std::size_t b = 0; b < run_sops_.size(); ++b) {
+    const PlannedS& ps = run_sops_[b];
+    index_phase_op(*ps.op, digest_row(static_cast<std::size_t>(ps.slot)),
+                   ps.offset, ps.width, sidx_row(b), n, stats_);
+  }
 }
 
-void CompiledPipeline::execute_generic(const Phv& shape, Phv* phvs,
-                                       std::size_t n) {
+void CompiledPipeline::execute_run(Phv* phvs, std::size_t n) {
+  if (n == 0) return;
   // k-way merge of the active chains into interpreter visit order:
   // ascending (stage, slot), ties broken by activation-list position —
   // exactly the order the per-table active-list loops produce.  The
   // cursor arrays live on the stack and merged_ was sized at build, so
   // nothing allocates.
-  const auto& list = shape.active_list;
+  const auto& list = phvs[0].active_list;
   const std::size_t k = list.size();
   const ChainOp* cur[kMaxQueries];
   const ChainOp* end[kMaxQueries];
@@ -715,19 +330,20 @@ void CompiledPipeline::execute_generic(const Phv& shape, Phv* phvs,
     for (std::size_t q = 0; q < k; ++q)
       if (cur[q] != end[q] && cur[q]->order == best) merged_[m++] = cur[q]++;
   }
-  if (n < kGenericPlanMinRun || !opts_.schedule) {
+  if (n < kGenericPlanMinRun) {
     for (std::size_t j = 0; j < m; ++j) generic_op(*merged_[j], phvs, n);
     return;
   }
   plan_generic(m, phvs, n);
   for (std::size_t j = 0; j < m; ++j) {
-    if (ann_slot_[j] >= 0)
-      generic_planned_h(*merged_[j], buffers_, phvs, n, ann_slot_[j]);
-    else if (ann_block_[j] >= 0)
-      generic_planned_s(*merged_[j], buffers_, phvs, n,
-                        static_cast<std::size_t>(ann_block_[j]));
+    const ChainOp& op = *merged_[j];
+    const int32_t row = ann_[j];
+    if (row < 0)
+      generic_op(op, phvs, n);
+    else if (op.kind == OpKind::HHash)
+      planned_h(op, digest_row(static_cast<std::size_t>(row)), phvs, n);
     else
-      generic_op(*merged_[j], phvs, n);
+      planned_s(op, sidx_row(static_cast<std::size_t>(row)), phvs, n, stats_);
   }
 }
 

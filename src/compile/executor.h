@@ -1,41 +1,36 @@
-// Compiled per-query executors over lowered chains (chain_ir.h).
+// Compiled per-query executor over lowered chains (chain_ir.h).
 //
 // A worker builds one CompiledPipeline per replica load.  At run time the
 // worker partitions each burst into maximal runs of packets whose active
-// query sets are identical and fully compiled, and hands each run here:
+// query sets are identical and fully compiled, and hands each run here.
+// The executor merges the k active chains' ops by interpreter visit order
+// (`order`) into a preallocated scratch and runs the merged sequence
+// op-major, one runtime switch per op.  Runs containing a query the
+// lowerer didn't cover stay on the interpreter (the worker routes those
+// to Pipeline::process_burst).
 //
-//   * single-query runs whose chain shape matches the compile-time shape
-//     registry run the FUSED executor — a template-instantiated op
-//     sequence (no dispatch at all between ops) over structure-of-arrays
-//     burst buffers, so field masking and hashing touch contiguous lanes;
-//   * everything else compiled runs the GENERIC executor — the k active
-//     chains' ops merged by interpreter visit order into a preallocated
-//     scratch, executed op-major with one runtime switch per op;
-//   * runs containing a query the lowerer didn't cover fall back to the
-//     interpreter (the worker routes those to Pipeline::process_burst).
+// A run of kGenericPlanMinRun packets or more executes as a THREE-PHASE
+// burst schedule, planned per run over the merged ops (plan_generic):
 //
-// Both compiled paths execute a run as a THREE-PHASE burst schedule:
-//
-//   1. HASH phase — every distinct digest the run's chains need (after
-//      hash-CSE, chain_ir.h plan_chain) is computed for all lanes at once
-//      with hash_words_lanes, straight off the strided packet fields;
+//   1. HASH phase — every HHash op's digest is computed for all lanes at
+//      once with hash_words_lanes, straight off the strided packet fields;
 //   2. PREFETCH phase — every planned S op's register index is resolved
 //      from its feeding digest into a per-op index lane, and the first
-//      prefetch_distance lanes' cache lines are prefetched (the apply loop
-//      keeps the stream running prefetch_distance lanes ahead);
+//      kPrefetchDistance lanes' cache lines are prefetched (the apply loop
+//      keeps the stream running kPrefetchDistance lanes ahead);
 //   3. APPLY phase — the op sequence runs in program order; planned H ops
 //      copy mapped digests, planned S ops hit precomputed indices through
 //      RegisterArray::execute_unchecked (indices are reduced mod size at
 //      resolve time, so the innermost loop carries no bounds check).
 //
-// Both compiled paths reproduce interpreter results byte-for-byte: same
+// The executor reproduces interpreter results byte-for-byte: same
 // per-register op order (runs are contiguous in burst order and op-major
 // execution preserves it; the hash/prefetch phases are pure or advisory),
 // same report contents, same rule-hit telemetry (ops bump the source
 // modules' hit cells).  Report emission order within a burst can differ
-// from the interpreter's stage-major order when k > 1; every
-// cross-execution check in the tree compares sorted records.
-// docs/compile.md walks the lowering rules and the equivalence argument.
+// from the interpreter's stage-major order; every cross-execution check in
+// the tree compares sorted records.  docs/compile.md walks the lowering
+// rules and the equivalence argument.
 #pragma once
 
 #include <bitset>
@@ -53,21 +48,17 @@ namespace compile {
 
 // Index-lane sentinel for "guard missed": the apply loop writes kSMissValue
 // without touching the bank.  Collides with a real index only if a register
-// array holds >= 2^32 - 1 registers; build() unplans such S ops (none exist
+// array holds >= 2^32 - 1 registers; such S ops stay unplanned (none exist
 // — the state bank is 48K registers).
 inline constexpr uint32_t kMissIndex = 0xffffffffu;
 
-// Executor tuning knobs, plumbed from RuntimeOptions (sharded_runtime.h).
+// How many lanes ahead of the apply loop the state-bank prefetch stream
+// runs.
+inline constexpr std::size_t kPrefetchDistance = 8;
+
+// Executor options, plumbed from RuntimeOptions (sharded_runtime.h).
 struct ExecOptions {
-  bool enabled = true;       // false = skip lowering entirely (NEWTON_NO_JIT)
-  // false = drop the whole three-phase burst schedule (no batched hashing,
-  // no index precompute, no prefetch): every op executes the pre-MLP
-  // op-major way.  Benchmark baseline and last-resort hatch.
-  bool schedule = true;
-  bool hash_cse = true;      // dedup identical digests across a run's ops
-  // How many lanes ahead of the apply loop the state-bank prefetch stream
-  // runs; 0 disables the prefetch phase entirely (NEWTON_NO_PREFETCH).
-  std::size_t prefetch_distance = 8;
+  bool enabled = true;  // false = skip lowering entirely (NEWTON_NO_JIT)
 };
 
 // Cumulative burst-schedule counters (monotone across rebuilds; the worker
@@ -76,55 +67,14 @@ struct ExecOptions {
 struct ExecStats {
   uint64_t planned_runs = 0;     // runs executed through the 3-phase schedule
   uint64_t hash_lanes = 0;       // digest lanes computed by the hash phase
-  uint64_t hash_cse_lanes = 0;   // digest lanes saved by hash-CSE
+  uint64_t hash_cse_lanes = 0;   // always 0; read by perfbench/layers.cpp
   uint64_t prefetch_issued = 0;  // state-bank prefetch hints issued
 };
-
-// Structure-of-arrays burst scratch for the fused path: per-packet key
-// rows (kNumFields words, contiguous per packet so hashing reads one
-// span) and per-burst result lanes.  Sized once at build; reused per run.
-struct BurstBuffers {
-  // Key rows are [pkt * kNumFields + f]; packet fields are read straight
-  // from the run's PHVs (already contiguous per packet), so there is no
-  // separate field lane to fill.
-  std::array<std::vector<uint32_t>, kNumMetadataSets> keys;
-  std::array<std::vector<uint32_t>, kNumMetadataSets> hash;
-  std::array<std::vector<uint32_t>, kNumMetadataSets> state;
-  std::vector<uint32_t> global;
-  std::vector<uint8_t> alive;
-  std::size_t alive_n = 0;
-
-  // Burst-schedule lanes: digest rows [slot * capacity + lane] filled by
-  // the hash phase, index rows [block * capacity + lane] by the prefetch
-  // phase (kMissIndex = guard miss).
-  std::vector<uint32_t> digest;
-  std::vector<uint32_t> sidx;
-  std::size_t capacity = 0;
-  std::size_t prefetch_distance = 0;
-  // Lives here (not in CompiledPipeline) so the fused op templates can
-  // bump counters without extra parameters; resize() never clears it.
-  ExecStats stats;
-
-  void resize(std::size_t capacity, std::size_t digest_rows,
-              std::size_t sidx_rows);
-
-  uint32_t* digest_row(std::size_t slot) {
-    return digest.data() + slot * capacity;
-  }
-  uint32_t* sidx_row(std::size_t block) {
-    return sidx.data() + block * capacity;
-  }
-};
-
-// Fused shape entry point: executes a whole single-query run.
-using FusedFn = void (*)(const Chain&, BurstBuffers&, const Phv*,
-                         std::size_t);
 
 // Per-query outcome of a build, for the runtime's coverage gauge.
 struct QueryCoverage {
   uint16_t qid = 0;
-  bool compiled = false;  // chain lowered (generic compiled path at least)
-  bool fused = false;     // chain shape matched the fused registry
+  bool compiled = false;  // chain lowered onto the compiled executor
 };
 
 class CompiledPipeline {
@@ -144,52 +94,54 @@ class CompiledPipeline {
   }
 
   // Execute a run of packets with identical active sets (the first packet's
-  // set stands for all).  Requires covers(phvs[0]).  Returns true when the
-  // run took the fused path.
-  bool execute_run(Phv* phvs, std::size_t n);
+  // set stands for all).  Requires covers(phvs[0]).
+  void execute_run(Phv* phvs, std::size_t n);
 
   const std::vector<QueryCoverage>& coverage() const { return coverage_; }
   // Cumulative across rebuilds (see ExecStats).
-  const ExecStats& stats() const { return buffers_.stats; }
+  const ExecStats& stats() const { return stats_; }
 
  private:
-  void execute_generic(const Phv& shape, Phv* phvs, std::size_t n);
-  bool execute_fused(const Chain& c, Phv* phvs, std::size_t n);
   void plan_generic(std::size_t m, Phv* phvs, std::size_t n);
 
+  uint32_t* digest_row(std::size_t slot) {
+    return digest_.data() + slot * capacity_;
+  }
+  uint32_t* sidx_row(std::size_t block) {
+    return sidx_.data() + block * capacity_;
+  }
+
   bool enabled_ = false;
-  ExecOptions opts_;
   std::vector<Chain> chains_;
   std::array<const Chain*, kMaxQueries> by_qid_{};
-  std::array<FusedFn, kMaxQueries> fused_{};
-  // Chains whose op order writes every lane before reading it skip the
-  // load-phase lane zeroing (all standard suites do: K before H before S
-  // before R, per metadata set).
-  std::bitset<kMaxQueries> fused_zero_;
   std::bitset<kMaxQueries> compiled_;
   std::vector<QueryCoverage> coverage_;
-  // Generic-path merge scratch: sized at build to the total op count, so
-  // merging never allocates on the packet path.
+  // Merge scratch: sized at build to the total op count, so merging never
+  // allocates on the packet path.
   std::vector<const ChainOp*> merged_;
-  // Generic-path dynamic plan, rebuilt per run (plan_generic): merged op j
-  // is either a planned H (ann_slot_[j] = its digest row) or a planned S
-  // (ann_block_[j] = its index row), or unplanned (-1, plain generic_op).
-  // run_specs_ holds the run's deduplicated digests.
-  std::vector<int16_t> ann_slot_;
-  std::vector<int32_t> ann_block_;
+  // Per-run plan (plan_generic): merged op j is a planned HHash when
+  // ann_[j] is its digest row, a planned SOp when ann_[j] is its index
+  // row, or unplanned (-1, plain generic_op).  run_specs_ holds the run's
+  // digests, one per planned HHash.
+  std::vector<int32_t> ann_;
   std::vector<DigestSpec> run_specs_;
-  // Planned S ops of the current run, with their feeding digest's
-  // hash-result mapping (offset/width come from the feeding H op, not the
-  // S op itself).
+  // Planned S ops of the current run (index row = position), with their
+  // feeding digest's hash-result mapping (offset/width come from the
+  // feeding H op, not the S op itself).
   struct PlannedS {
     const ChainOp* op;
-    int16_t slot;
+    int32_t slot;
     uint32_t offset;
     uint32_t width;
-    int32_t block;
   };
   std::vector<PlannedS> run_sops_;
-  BurstBuffers buffers_;
+  // Burst-schedule lanes: digest rows [slot * capacity_ + lane] filled by
+  // the hash phase, index rows [block * capacity_ + lane] by the prefetch
+  // phase (kMissIndex = guard miss).
+  std::vector<uint32_t> digest_;
+  std::vector<uint32_t> sidx_;
+  std::size_t capacity_ = 0;
+  ExecStats stats_;
 };
 
 }  // namespace compile

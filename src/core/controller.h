@@ -185,9 +185,8 @@ class Controller {
   std::size_t chain_min_stage(const Query& q,
                               const std::string* skip = nullptr) const;
 
-  // Quota + switch admission for an already-compiled query (pure).
-  AdmitDecision admit_compiled(const CompiledQuery& cq,
-                               const QueryDemand& d,
+  // Quota + switch admission for an already-compiled query's demand (pure).
+  AdmitDecision admit_compiled(const QueryDemand& d,
                                const std::string& tenant) const;
 
   // Shared install tail: switch install + bookkeeping + telemetry.

@@ -121,6 +121,10 @@ struct ResolvedOp {
 
 std::vector<ResolvedOp> resolve_ops(const Scenario& s);
 
+// Name of the scenario's query at index `i` ("q<i>"): every execution
+// installs, withdraws and reads results under it.
+std::string query_name(std::size_t i);
+
 // A shard key that preserves exact sharded-runtime semantics for this query
 // set: a single field selected by EVERY stateful (distinct/reduce)
 // primitive, hashed under the AND of all key masks — a coarsening of every

@@ -58,17 +58,8 @@ ShardedRuntime::ShardedRuntime(NewtonSwitch& primary, RuntimeOptions opts,
   // bisects a suspected compiled-executor miscompare back to the
   // interpreter without touching any call site.
   if (std::getenv("NEWTON_NO_JIT") != nullptr) opts_.jit = false;
-  // Same escape-hatch pattern for the compiled executors' prefetch phase:
-  // prefetch is advisory, so turning it off isolates any suspected
-  // prefetch-related slowdown (or miscompare, though none is possible by
-  // construction) without a rebuild.
-  if (std::getenv("NEWTON_NO_PREFETCH") != nullptr)
-    opts_.prefetch_distance = 0;
   compile::ExecOptions exec_opts;
   exec_opts.enabled = opts_.jit;
-  exec_opts.schedule = opts_.jit_burst_schedule;
-  exec_opts.hash_cse = opts_.jit_hash_cse;
-  exec_opts.prefetch_distance = opts_.prefetch_distance;
   workers_.reserve(opts_.num_shards);
   for (std::size_t i = 0; i < opts_.num_shards; ++i) {
     workers_.push_back(std::make_unique<ShardWorker>(i, opts_.queue_capacity,
@@ -126,22 +117,14 @@ void ShardedRuntime::bind_telemetry() {
       &reg.counter("newton_runtime_jit_packets_total",
                    "Packets executed by compiled chain executors "
                    "(src/compile/) instead of the interpreter");
-  metrics_.jit_fused_packets =
-      &reg.counter("newton_runtime_jit_fused_packets_total",
-                   "Compiled-path packets that ran a fused chain-shape "
-                   "executor (the rest took the generic compiled loop)");
   metrics_.jit_hash_lanes =
       &reg.counter("newton_runtime_jit_hash_lanes_total",
-                   "Digest lanes computed by the compiled executors' "
+                   "Digest lanes computed by the compiled executor's "
                    "batched hash phase (docs/compile.md)");
-  metrics_.jit_hash_cse =
-      &reg.counter("newton_runtime_jit_hash_cse_lanes_total",
-                   "Digest lanes the compiled executors skipped because "
-                   "hash-CSE folded duplicate H ops onto one digest");
   metrics_.jit_prefetch =
       &reg.counter("newton_runtime_jit_prefetch_issued_total",
                    "State-bank cache-line prefetch hints issued by the "
-                   "compiled executors' prefetch phase");
+                   "compiled executor's prefetch phase");
   metrics_.installs_rejected =
       &reg.counter("newton_runtime_installs_rejected_total",
                    "Queued installs rejected by admission control at a "
@@ -187,12 +170,8 @@ void ShardedRuntime::flush_telemetry() {
                                    flushed_.workers[i].packets);
     metrics_.jit_packets->add(stats_.workers[i].jit_packets -
                               flushed_.workers[i].jit_packets);
-    metrics_.jit_fused_packets->add(stats_.workers[i].jit_fused_packets -
-                                    flushed_.workers[i].jit_fused_packets);
     metrics_.jit_hash_lanes->add(stats_.workers[i].jit_hash_lanes -
                                  flushed_.workers[i].jit_hash_lanes);
-    metrics_.jit_hash_cse->add(stats_.workers[i].jit_hash_cse_lanes -
-                               flushed_.workers[i].jit_hash_cse_lanes);
     metrics_.jit_prefetch->add(stats_.workers[i].jit_prefetch_issued -
                                flushed_.workers[i].jit_prefetch_issued);
   }
@@ -655,10 +634,10 @@ void ShardedRuntime::publish_jit_coverage() {
         {"branch",
          std::to_string(it == qid_owner_.end() ? 0 : it->second.second)}};
     reg.gauge("newton_jit_query_compiled",
-              "1 = the query branch's chain runs a compiled executor "
-              "(2 = fused shape), 0 = interpreter fallback",
+              "1 = the query branch's chain runs the compiled executor, "
+              "0 = interpreter fallback",
               labels)
-        .set(c.compiled ? (c.fused ? 2 : 1) : 0);
+        .set(c.compiled ? 1 : 0);
   }
 }
 

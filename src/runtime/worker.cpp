@@ -78,7 +78,6 @@ void ShardWorker::sync_jit_stats() {
   const compile::ExecStats& es = jit_.stats();
   stats_.jit_planned_runs = es.planned_runs;
   stats_.jit_hash_lanes = es.hash_lanes;
-  stats_.jit_hash_cse_lanes = es.hash_cse_lanes;
   stats_.jit_prefetch_issued = es.prefetch_issued;
 }
 
@@ -161,10 +160,9 @@ void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
       while (j < n && jit_.covers(phvs_[j]) &&
              phvs_[j].active == phvs_[i].active)
         ++j;
-      const bool fused = jit_.execute_run(phvs_.data() + i, j - i);
+      jit_.execute_run(phvs_.data() + i, j - i);
       pipeline_.note_compiled_packets(j - i);
       stats_.jit_packets += j - i;
-      if (fused) stats_.jit_fused_packets += j - i;
     } else {
       while (j < n && !jit_.covers(phvs_[j])) ++j;
       pipeline_.process_burst(phvs_.data() + i, j - i);

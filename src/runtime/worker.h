@@ -31,18 +31,16 @@ struct WorkerStats {
   uint64_t packets = 0;   // packets this worker executed
   uint64_t reports = 0;   // reports it emitted (drained at barriers)
   uint64_t busy_ns = 0;   // thread CPU time consumed so far
-  // Of `packets`, how many ran through compiled chain executors
-  // (src/compile/) rather than the interpreter, and of those how many took
-  // a fused shape (the rest took the generic compiled op loop).
+  // Of `packets`, how many ran through the compiled chain executor
+  // (src/compile/) rather than the interpreter.
   uint64_t jit_packets = 0;
-  uint64_t jit_fused_packets = 0;
-  // Burst-schedule counters mirrored from the compiled executors' ExecStats
+  uint64_t jit_fused_packets = 0;  // always 0; read by perfbench/workloads.cpp
+  // Burst-schedule counters mirrored from the compiled executor's ExecStats
   // (compile/executor.h) at window fences: runs that took the three-phase
-  // schedule, digest lanes batch-hashed / saved by hash-CSE, and state-bank
-  // prefetch hints issued.
+  // schedule, digest lanes batch-hashed, and state-bank prefetch hints
+  // issued.
   uint64_t jit_planned_runs = 0;
   uint64_t jit_hash_lanes = 0;
-  uint64_t jit_hash_cse_lanes = 0;
   uint64_t jit_prefetch_issued = 0;
 };
 
@@ -87,8 +85,7 @@ class ShardWorker {
   void relower_chains();
 
   // Executor options for subsequent replica loads: chain compilation
-  // on/off (RuntimeOptions::jit / NEWTON_NO_JIT), hash-CSE, prefetch
-  // distance (RuntimeOptions::prefetch_distance / NEWTON_NO_PREFETCH).
+  // on/off (RuntimeOptions::jit / NEWTON_NO_JIT).
   void set_exec_options(const compile::ExecOptions& opts) {
     exec_opts_ = opts;
   }

@@ -45,11 +45,11 @@ std::string label_block(const Labels& labels, const std::string& extra_k = "",
   for (const auto& [k, v] : labels) {
     if (!first) out += ',';
     first = false;
-    out += k + "=\"" + escape(v) + "\"";
+    out.append(k).append("=\"").append(escape(v)).append("\"");
   }
   if (!extra_k.empty()) {
     if (!first) out += ',';
-    out += extra_k + "=\"" + escape(extra_v) + "\"";
+    out.append(extra_k).append("=\"").append(escape(extra_v)).append("\"");
   }
   out += '}';
   return out;
@@ -64,8 +64,9 @@ std::string to_prometheus(const Snapshot& s) {
     if (m.name != last_family) {
       last_family = m.name;
       if (!m.help.empty())
-        out += "# HELP " + m.name + " " + escape(m.help) + "\n";
-      out += "# TYPE " + m.name + " ";
+        out.append("# HELP ").append(m.name).append(" ")
+            .append(escape(m.help)).append("\n");
+      out.append("# TYPE ").append(m.name).append(" ");
       switch (m.kind) {
         case MetricKind::Counter: out += "counter\n"; break;
         case MetricKind::Gauge: out += "gauge\n"; break;
@@ -78,15 +79,17 @@ std::string to_prometheus(const Snapshot& s) {
         cum += m.buckets[b];
         const std::string le =
             b < m.bounds.size() ? fmt_double(m.bounds[b]) : "+Inf";
-        out += m.name + "_bucket" + label_block(m.labels, "le", le) + " " +
-               std::to_string(cum) + "\n";
+        out.append(m.name).append("_bucket")
+            .append(label_block(m.labels, "le", le)).append(" ")
+            .append(std::to_string(cum)).append("\n");
       }
-      out += m.name + "_sum" + label_block(m.labels) + " " +
-             fmt_double(m.sum) + "\n";
-      out += m.name + "_count" + label_block(m.labels) + " " +
-             std::to_string(m.count) + "\n";
+      out.append(m.name).append("_sum").append(label_block(m.labels))
+          .append(" ").append(fmt_double(m.sum)).append("\n");
+      out.append(m.name).append("_count").append(label_block(m.labels))
+          .append(" ").append(std::to_string(m.count)).append("\n");
     } else {
-      out += m.name + label_block(m.labels) + " " + fmt_double(m.value) + "\n";
+      out.append(m.name).append(label_block(m.labels)).append(" ")
+          .append(fmt_double(m.value)).append("\n");
     }
   }
   return out;
@@ -98,40 +101,43 @@ std::string to_json(const Snapshot& s, int indent) {
   std::string out = "[\n";
   for (std::size_t i = 0; i < s.samples.size(); ++i) {
     const Sample& m = s.samples[i];
-    out += p1 + "{\"name\": \"" + escape(m.name) + "\"";
+    out.append(p1).append("{\"name\": \"").append(escape(m.name))
+        .append("\"");
     if (!m.labels.empty()) {
       out += ", \"labels\": {";
       for (std::size_t j = 0; j < m.labels.size(); ++j) {
         if (j) out += ", ";
-        out += "\"" + escape(m.labels[j].first) + "\": \"" +
-               escape(m.labels[j].second) + "\"";
+        out.append("\"").append(escape(m.labels[j].first))
+            .append("\": \"").append(escape(m.labels[j].second))
+            .append("\"");
       }
       out += "}";
     }
     switch (m.kind) {
       case MetricKind::Counter:
-        out += ", \"type\": \"counter\", \"value\": " + fmt_double(m.value);
+        out.append(", \"type\": \"counter\", \"value\": ")
+            .append(fmt_double(m.value));
         break;
       case MetricKind::Gauge:
-        out += ", \"type\": \"gauge\", \"value\": " + fmt_double(m.value);
+        out.append(", \"type\": \"gauge\", \"value\": ")
+            .append(fmt_double(m.value));
         break;
       case MetricKind::Histogram: {
         out += ", \"type\": \"histogram\", \"bounds\": [";
         for (std::size_t b = 0; b < m.bounds.size(); ++b)
-          out += (b ? ", " : "") + fmt_double(m.bounds[b]);
+          out.append(b ? ", " : "").append(fmt_double(m.bounds[b]));
         out += "], \"buckets\": [";
         for (std::size_t b = 0; b < m.buckets.size(); ++b)
-          out += (b ? std::string(", ") : std::string()) +
-                 std::to_string(m.buckets[b]);
-        out += "], \"sum\": " + fmt_double(m.sum) +
-               ", \"count\": " + std::to_string(m.count);
+          out.append(b ? ", " : "").append(std::to_string(m.buckets[b]));
+        out.append("], \"sum\": ").append(fmt_double(m.sum))
+            .append(", \"count\": ").append(std::to_string(m.count));
         break;
       }
     }
     out += "}";
     out += i + 1 < s.samples.size() ? ",\n" : "\n";
   }
-  out += pad + "]";
+  out.append(pad).append("]");
   return out;
 }
 

@@ -112,9 +112,9 @@ TEST(RejectedInstall, LeavesSwitchControllerAndTelemetryUntouched) {
   NewtonSwitch sw(1, 24, &an, 1 << 14);
   Controller ctl(sw);
   for (int i = 0; i < 6; ++i)
-    ctl.install(port_query("q" + std::to_string(i),
+    ctl.install(port_query(std::string("q").append(std::to_string(i)),
                            static_cast<uint16_t>(20'000 + i)),
-                {}, "t" + std::to_string(i % 2));
+                {}, std::string("t").append(std::to_string(i % 2)));
   // Put live state into the allocated ranges so the digest has bytes that
   // a sloppy rollback could plausibly disturb.
   const Trace t = port_trace(6, 2, 50);
@@ -166,7 +166,7 @@ TEST(RejectedInstall, RacingWithdrawMatchesWithdrawOnlyRun) {
     ReportBuffer buf;
     rt.set_report_sink(&buf);
     for (int i = 0; i < 6; ++i)
-      rt.install(port_query("q" + std::to_string(i),
+      rt.install(port_query(std::string("q").append(std::to_string(i)),
                             static_cast<uint16_t>(20'000 + i)));
     rt.start();
     bool queued = false;
@@ -330,7 +330,7 @@ TEST(Compaction, RebindKeepsReportAttributionCorrect) {
 
   std::vector<std::string> names;
   for (int i = 0; i < 8; ++i) {
-    const std::string n = "q" + std::to_string(i);
+    const std::string n = std::string("q").append(std::to_string(i));
     const auto out = ctl.try_install(
         port_query(n, static_cast<uint16_t>(20'000 + i), 256));
     if (!out.admitted()) break;

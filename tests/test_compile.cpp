@@ -4,9 +4,9 @@
 //   * every committed .nds corpus seed replays byte-identically with the
 //     JIT on vs. off, at 1 and at 4 shards (reports AND merged register
 //     state), with the compiled path actually carrying packets;
-//   * the bench query set (q1/q3/q5) and all six detector-library chains
-//     lower to compiled executors, with the bench set hitting the fused
-//     shape registry;
+//   * the bench query set (q1/q3/q5) replays byte-identically with the JIT
+//     on vs. off at 1 and 4 shards, every packet on the compiled path;
+//   * all six detector-library chains lower to the compiled executor;
 //   * both escape hatches (RuntimeOptions::jit = false, NEWTON_NO_JIT)
 //     route every packet through the interpreter.
 #include <gtest/gtest.h>
@@ -87,37 +87,35 @@ struct RunOut {
            std::vector<uint32_t>>
       state;
   uint64_t jit_packets = 0;
-  uint64_t packets_in = 0;
+  uint64_t packets = 0;  // packets the shard workers executed
 };
 
-// Executor-knob overrides for run_scenario: the burst-schedule levers
-// (hash-CSE, prefetch distance) and the hot-path burst size.
-struct JitKnobs {
-  bool jit = true;
-  bool schedule = true;  // three-phase burst schedule master switch
-  bool hash_cse = true;
-  std::size_t prefetch_distance = SIZE_MAX;  // SIZE_MAX = runtime default
-  std::size_t burst = 0;                     // 0 = scenario's burst
-};
+void collect(const ShardedRuntime& rt, const ReportBuffer& buf, RunOut& out) {
+  out.records = sorted(buf.records());
+  for (const WindowSnapshot& snap : rt.snapshots())
+    for (const BranchSnapshot& b : snap.branches)
+      out.state[{b.query, b.branch, snap.window}] = b.state;
+  for (const WorkerStats& w : rt.stats().workers) {
+    out.jit_packets += w.jit_packets;
+    out.packets += w.packets;
+  }
+}
 
 // Mirror of the difftest harness's sharded-runtime execution (op schedule,
 // affine shard key, window snapshots), but collecting the raw report
 // stream so the jit-on/off comparison is byte-level, not keyset-level.
+// `burst` = 0 keeps the scenario's own burst size.
 RunOut run_scenario(const difftest::Scenario& s, const Trace& t,
-                    std::size_t nshards, JitKnobs knobs) {
+                    std::size_t nshards, bool jit, std::size_t burst = 0) {
   RunOut out;
   ReportBuffer buf;
   NewtonSwitch primary(1, difftest::kPipelineStages, nullptr, bank_size(s));
   primary.set_window_ns(s.window_ns());
   RuntimeOptions ro;
   ro.num_shards = nshards;
-  ro.burst = knobs.burst == 0 ? s.burst : knobs.burst;
+  ro.burst = burst == 0 ? s.burst : burst;
   ro.record_snapshots = true;
-  ro.jit = knobs.jit;
-  ro.jit_burst_schedule = knobs.schedule;
-  ro.jit_hash_cse = knobs.hash_cse;
-  if (knobs.prefetch_distance != SIZE_MAX)
-    ro.prefetch_distance = knobs.prefetch_distance;
+  ro.jit = jit;
   const auto key = difftest::affine_shard_key(s.queries);
   ro.shard_key = key ? *key : ShardKey::five_tuple();
   ShardedRuntime rt(primary, ro, nullptr);
@@ -128,7 +126,7 @@ RunOut run_scenario(const difftest::Scenario& s, const Trace& t,
     if (op.kind == difftest::ResolvedOp::Kind::Install)
       rt.install(op.def, level(s.opt_level));
     else
-      rt.withdraw("q" + std::to_string(op.query));
+      rt.withdraw(difftest::query_name(op.query));
   };
   for (; next < ops.size() && ops[next].at_packet == 0; ++next)
     apply(ops[next]);
@@ -139,20 +137,8 @@ RunOut run_scenario(const difftest::Scenario& s, const Trace& t,
     rt.process(t.packets[i]);
   }
   rt.finish();
-  out.records = sorted(buf.records());
-  for (const WindowSnapshot& snap : rt.snapshots())
-    for (const BranchSnapshot& b : snap.branches)
-      out.state[{b.query, b.branch, snap.window}] = b.state;
-  out.packets_in = rt.stats().packets_in;
-  for (const WorkerStats& w : rt.stats().workers) out.jit_packets += w.jit_packets;
+  collect(rt, buf, out);
   return out;
-}
-
-RunOut run_scenario(const difftest::Scenario& s, const Trace& t,
-                    std::size_t nshards, bool jit) {
-  JitKnobs k;
-  k.jit = jit;
-  return run_scenario(s, t, nshards, k);
 }
 
 void expect_same(const RunOut& a, const RunOut& b) {
@@ -206,13 +192,13 @@ TEST(CompiledCorpus, JitMatchesInterpreterAt1And4Shards) {
   EXPECT_GT(jit_packets_total, 0u);
 }
 
-// The burst schedule's knobs — hash-CSE and prefetch distance — and the
-// burst size itself are pure performance levers.  Sweep all of them over
+// The burst size is a pure performance lever.  Sweep it over
 // representative seeds against one interpreter baseline: byte-identical
-// reports and register state at every point of the matrix.  Burst 1
-// degenerates the hash phase to single-lane, burst 3 leaves the CRC
-// 4-way interleave partially filled, burst 64 is the steady-state shape.
-TEST(CompiledBurstSchedule, BurstAndKnobMatrixByteIdentical) {
+// reports and register state at every point.  Burst 1 degenerates every
+// run to one packet (no burst schedule), burst 3 stays below the
+// schedule's minimum run length, burst 64 is the steady-state shape with
+// the three-phase schedule and the CRC 4-way interleave fully engaged.
+TEST(CompiledBurstSchedule, BurstSweepByteIdentical) {
   const auto files = corpus_files();
   ASSERT_GE(files.size(), 2u);
   for (std::size_t fi = 0; fi < 2; ++fi) {
@@ -223,28 +209,8 @@ TEST(CompiledBurstSchedule, BurstAndKnobMatrixByteIdentical) {
     uint64_t jit_packets_total = 0;
     for (const std::size_t burst : {std::size_t{1}, std::size_t{3},
                                     std::size_t{64}}) {
-      for (const std::size_t pfd : {SIZE_MAX, std::size_t{0}}) {
-        for (const bool cse : {true, false}) {
-          SCOPED_TRACE("burst=" + std::to_string(burst) +
-                       " prefetch=" + (pfd == SIZE_MAX
-                                           ? std::string("default")
-                                           : std::to_string(pfd)) +
-                       " cse=" + (cse ? "on" : "off"));
-          JitKnobs k;
-          k.burst = burst;
-          k.prefetch_distance = pfd;
-          k.hash_cse = cse;
-          const RunOut on = run_scenario(s, t, 1, k);
-          expect_same(on, base);
-          jit_packets_total += on.jit_packets;
-        }
-      }
-      // Whole burst schedule off: compiled executors, pre-MLP op order.
-      SCOPED_TRACE("burst=" + std::to_string(burst) + " schedule=off");
-      JitKnobs k;
-      k.burst = burst;
-      k.schedule = false;
-      const RunOut on = run_scenario(s, t, 1, k);
+      SCOPED_TRACE("burst=" + std::to_string(burst));
+      const RunOut on = run_scenario(s, t, 1, /*jit=*/true, burst);
       expect_same(on, base);
       jit_packets_total += on.jit_packets;
     }
@@ -252,70 +218,49 @@ TEST(CompiledBurstSchedule, BurstAndKnobMatrixByteIdentical) {
   }
 }
 
-// Full corpus with both knobs forced off (no CSE folding, no prefetch) at
-// 1 and 4 shards: the degenerate schedule must still replay every seed
-// byte-identically.  Together with JitMatchesInterpreterAt1And4Shards
-// (knobs at defaults) this brackets the whole knob space over the corpus.
-TEST(CompiledBurstSchedule, CorpusKnobsOffByteIdenticalAt1And4Shards) {
-  const auto files = corpus_files();
-  ASSERT_GE(files.size(), 8u);
-  uint64_t jit_packets_total = 0;
-  for (const fs::path& p : files) {
-    SCOPED_TRACE(p.filename().string());
-    const difftest::Scenario s = difftest::Scenario::load(p.string());
-    const Trace t = s.trace.build();
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      JitKnobs off;
-      off.hash_cse = false;
-      off.prefetch_distance = 0;
-      const RunOut on = run_scenario(s, t, shards, off);
-      const RunOut interp = run_scenario(s, t, shards, /*jit=*/false);
-      expect_same(on, interp);
-      jit_packets_total += on.jit_packets;
-    }
-  }
-  EXPECT_GT(jit_packets_total, 0u);
-}
-
-// The bench query set lowers fully: every branch chain compiled, and the
-// shapes land in the fused registry (the 3x single-core model-pps claim in
-// BENCH_runtime.json rides on the fused executors, not the generic merge).
-TEST(CompiledCoverage, BenchQueriesCompileFused) {
-  Analyzer an;
-  NewtonSwitch sw(1, 24, nullptr);
-  ShardedRuntime rt(sw, {}, &an);
-  QueryParams p;
-  rt.install(make_q1(p));
-  rt.install(make_q3(p));
-  rt.install(make_q5(p));
-  rt.start();
-  ASSERT_TRUE(rt.jit_enabled());
-  const auto cov = rt.jit_coverage();
-  ASSERT_FALSE(cov.empty());
-  std::size_t fused = 0;
-  for (const compile::QueryCoverage& c : cov) {
-    EXPECT_TRUE(c.compiled) << "qid " << c.qid << " fell back to interpreter";
-    fused += c.fused;
-  }
-  EXPECT_EQ(fused, cov.size()) << "bench chains must hit the fused registry";
-
+// The bench query set (q1/q3/q5) on the attack-mix trace, 5-tuple
+// sharding: the JIT must replay it byte-identically to the interpreter at
+// 1 and 4 shards — sorted report records and merged per-window register
+// state — with every query compiled and every packet on the compiled path.
+TEST(CompiledCoverage, BenchQueriesByteIdenticalAt1And4Shards) {
   const Trace t = bench_trace(31);
-  for (const Packet& pk : t.packets) rt.process(pk);
-  rt.finish();
-  uint64_t jit = 0, fused_pk = 0, total = 0;
-  for (const WorkerStats& w : rt.stats().workers) {
-    jit += w.jit_packets;
-    fused_pk += w.jit_fused_packets;
-    total += w.packets;
+  const auto run = [&](std::size_t shards, bool jit) {
+    ReportBuffer buf;
+    NewtonSwitch sw(1, 24, nullptr);
+    RuntimeOptions ro;
+    ro.num_shards = shards;
+    ro.jit = jit;
+    ro.shard_key = ShardKey::five_tuple();
+    ShardedRuntime rt(sw, ro, nullptr);
+    rt.set_report_sink(&buf);
+    QueryParams p;
+    rt.install(make_q1(p));
+    rt.install(make_q3(p));
+    rt.install(make_q5(p));
+    rt.start();
+    if (jit) {
+      const auto cov = rt.jit_coverage();
+      EXPECT_FALSE(cov.empty());
+      for (const compile::QueryCoverage& c : cov)
+        EXPECT_TRUE(c.compiled) << "qid " << c.qid << " fell back";
+    }
+    for (const Packet& pk : t.packets) rt.process(pk);
+    rt.finish();
+    RunOut out;
+    collect(rt, buf, out);
+    return out;
+  };
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const RunOut on = run(shards, /*jit=*/true);
+    const RunOut off = run(shards, /*jit=*/false);
+    expect_same(on, off);
+    EXPECT_FALSE(on.records.empty());
+    EXPECT_FALSE(on.state.empty());
+    EXPECT_GT(on.packets, 0u);
+    EXPECT_EQ(on.jit_packets, on.packets);
+    EXPECT_EQ(off.jit_packets, 0u);
   }
-  // Full coverage: every demuxed packet rides the compiled path.  Packets
-  // active in one query run fused; packets active in several queries take
-  // the generic merge (cross-chain global_result combines couple them), so
-  // fused is the dominant share but not the whole stream.
-  EXPECT_EQ(jit, total);
-  EXPECT_GT(total, 0u);
-  EXPECT_GT(fused_pk, total / 2);
 }
 
 // All six detector-library chains lower to compiled executors (grouped by
@@ -390,46 +335,4 @@ TEST(CompiledEscapeHatch, EnvVarDisablesJit) {
     ShardedRuntime rt(sw, {}, &an);
     EXPECT_TRUE(rt.jit_enabled());
   }
-}
-
-// NEWTON_NO_PREFETCH kills the prefetch phase without touching the JIT:
-// compiled executors keep carrying packets, the prefetch-issued counter
-// stays at zero, and the report stream is byte-identical to the
-// prefetching run (prefetch is advisory, never semantic).
-TEST(CompiledEscapeHatch, EnvVarDisablesPrefetch) {
-  const auto run = [](bool no_prefetch) {
-    if (no_prefetch) EXPECT_EQ(setenv("NEWTON_NO_PREFETCH", "1", 1), 0);
-    ReportBuffer buf;
-    NewtonSwitch sw(1, 24, nullptr);
-    ShardedRuntime rt(sw, {}, nullptr);
-    rt.set_report_sink(&buf);
-    QueryParams p;
-    rt.install(make_q1(p));
-    rt.install(make_q3(p));
-    rt.install(make_q5(p));
-    rt.start();
-    EXPECT_TRUE(rt.jit_enabled());
-    const Trace t = bench_trace(35);
-    for (const Packet& pk : t.packets) rt.process(pk);
-    rt.finish();
-    uint64_t jit = 0, prefetch = 0;
-    for (const WorkerStats& w : rt.stats().workers) {
-      jit += w.jit_packets;
-      prefetch += w.jit_prefetch_issued;
-    }
-    EXPECT_GT(jit, 0u);
-    if (no_prefetch) {
-      EXPECT_EQ(prefetch, 0u);
-      unsetenv("NEWTON_NO_PREFETCH");
-    } else {
-      EXPECT_GT(prefetch, 0u);
-    }
-    return sorted(buf.records());
-  };
-  const auto with_prefetch = run(false);
-  const auto without_prefetch = run(true);
-  ASSERT_EQ(with_prefetch.size(), without_prefetch.size());
-  for (std::size_t i = 0; i < with_prefetch.size(); ++i)
-    ASSERT_EQ(rec_key(with_prefetch[i]), rec_key(without_prefetch[i]))
-        << "record " << i;
 }

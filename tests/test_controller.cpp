@@ -149,7 +149,9 @@ TEST(RangeAlloc, FragmentationSoak10kOps) {
         } else {
           // An offset that is not an allocation start must be refused.
           const std::size_t off = rng() % kCap;
-          if (!shadow.contains(off)) ASSERT_FALSE(a.free(off));
+          if (!shadow.contains(off)) {
+            ASSERT_FALSE(a.free(off));
+          }
         }
         break;
       }

@@ -108,7 +108,7 @@ TEST(Capacity, ModuleRuleCapacityBindsConcurrency) {
   std::size_t installed = 0;
   try {
     for (std::size_t i = 0; i < kRulesPerModule + 10; ++i) {
-      Query q = QueryBuilder("m" + std::to_string(i))
+      Query q = QueryBuilder(std::string("m").append(std::to_string(i)))
                     .filter(Predicate{}.where(Field::DstPort, Cmp::Eq,
                                               static_cast<uint32_t>(i)))
                     .map({Field::DstIp})
@@ -124,7 +124,7 @@ TEST(Capacity, ModuleRuleCapacityBindsConcurrency) {
   // The failed install must not leak partial rules: removing everything
   // returns the switch to empty.
   for (std::size_t i = 0; i < installed; ++i)
-    ctl.remove("m" + std::to_string(i));
+    ctl.remove(std::string("m").append(std::to_string(i)));
   EXPECT_EQ(sw.installed_rule_count(), 0u);
 }
 

@@ -164,7 +164,7 @@ TEST_P(SchedulerFuzz, PlansAreActionable) {
   }());
   for (std::size_t i = 0; i < count; ++i) {
     Query q = pool[rng() % pool.size()];
-    q.name += "_" + std::to_string(i);
+    q.name.append("_").append(std::to_string(i));
     reqs.push_back({std::move(q), 0.5 + (rng() % 4)});
   }
   SwitchProfile profile;
