@@ -9,7 +9,7 @@
 //     the runtime and print the operator view: tenant, per-stage resource
 //     usage and JIT coverage state per installed query
 //   newton_tool compile <q1..q9>                             show the schedule
-//   newton_tool run <q1..q9> <trace.{ntrc,csv}>              execute + report
+//   newton_tool run <q1..q9> <trace.{ntrc,csv,pcap}>         execute + report
 //   newton_tool p4 [stages]                                  emit the layout P4
 //   newton_tool rules <q1..q9>                               emit table rules
 //   newton_tool query '<dsl>' <trace.{ntrc,csv,pcap}>        run a DSL intent
@@ -85,13 +85,15 @@ int query_index(const std::string& s) {
 int usage() {
   std::fprintf(stderr,
                "usage: newton_tool gen <caida|mawi> <out.ntrc> [flows] [seed]\n"
-               "       newton_tool info <trace.{ntrc,csv}>\n"
+               "       newton_tool info <trace.{ntrc,csv,pcap}>\n"
                "       newton_tool csv <in.ntrc> <out.csv>\n"
+               "       newton_tool pcap <in.{ntrc,csv}> <out.pcap>\n"
                "       newton_tool queries [--installed [qN[@tenant] ...]]\n"
                "       newton_tool compile <q1..q9>\n"
-               "       newton_tool run <q1..q9> <trace.{ntrc,csv}>\n"
+               "       newton_tool run <q1..q9> <trace.{ntrc,csv,pcap}>\n"
                "       newton_tool p4 [stages]\n"
                "       newton_tool rules <q1..q9>\n"
+               "       newton_tool query '<dsl>' <trace.{ntrc,csv,pcap}>\n"
                "       newton_tool inject <q1..q9> [seed] [events]\n"
                "       newton_tool detectors\n"
                "       newton_tool replay --pcap FILE [--rate R|inf]\n"

@@ -203,14 +203,18 @@ void planned_s(const ChainOp& op, const uint32_t* idx, Phv* phvs,
 
 }  // namespace
 
-void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
-                             const ExecOptions& opts) {
+void CompiledPipeline::clear() {
   enabled_ = false;
   chains_.clear();
   by_qid_.fill(nullptr);
   compiled_.reset();
   coverage_.clear();
   merged_.clear();
+}
+
+void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
+                             const ExecOptions& opts) {
+  clear();
   if (!opts.enabled) return;
   Lowering l = lower(pipe);
   if (!l.ok) return;
@@ -297,7 +301,6 @@ void CompiledPipeline::plan_generic(std::size_t m, Phv* phvs, std::size_t n) {
                      n, spec.masks.data(), digest_row(d));
   }
   stats_.hash_lanes += run_specs_.size() * n;
-  ++stats_.planned_runs;
   for (std::size_t b = 0; b < run_sops_.size(); ++b) {
     const PlannedS& ps = run_sops_[b];
     index_phase_op(*ps.op, digest_row(static_cast<std::size_t>(ps.slot)),

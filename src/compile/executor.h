@@ -58,14 +58,13 @@ inline constexpr std::size_t kPrefetchDistance = 8;
 
 // Executor options, plumbed from RuntimeOptions (sharded_runtime.h).
 struct ExecOptions {
-  bool enabled = true;  // false = skip lowering entirely (NEWTON_NO_JIT)
+  bool enabled = true;  // false = skip lowering (RuntimeOptions::jit off)
 };
 
 // Cumulative burst-schedule counters (monotone across rebuilds; the worker
 // snapshots them into WorkerStats and the runtime flushes deltas into
 // registry telemetry at window barriers).
 struct ExecStats {
-  uint64_t planned_runs = 0;     // runs executed through the 3-phase schedule
   uint64_t hash_lanes = 0;       // digest lanes computed by the hash phase
   uint64_t hash_cse_lanes = 0;   // always 0; read by perfbench/layers.cpp
   uint64_t prefetch_issued = 0;  // state-bank prefetch hints issued
@@ -81,10 +80,12 @@ class CompiledPipeline {
  public:
   // Lower every installed chain of `pipe` (after report sinks are rebound)
   // and preallocate run scratch for bursts up to `burst_capacity`.
-  // `opts.enabled` = false (NEWTON_NO_JIT / RuntimeOptions::jit) skips the
-  // lowering entirely and leaves the object permanently not covering.
+  // `opts.enabled` = false (RuntimeOptions::jit off) skips the lowering
+  // entirely and leaves the object not covering.
   void build(Pipeline& pipe, std::size_t burst_capacity,
              const ExecOptions& opts);
+  // Drop every compiled chain: nothing is covered until the next build.
+  void clear();
 
   bool enabled() const { return enabled_; }
 

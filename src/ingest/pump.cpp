@@ -16,9 +16,7 @@ void sleep_ns(uint64_t ns) {
 }  // namespace
 
 IngestPump::IngestPump(ShardedRuntime& rt, PumpOptions opts)
-    : rt_(&rt), opts_(opts) {
-  if (opts_.burst == 0) opts_.burst = 1;
-}
+    : rt_(&rt), opts_(opts) {}
 
 PumpStats IngestPump::run(Source& src) {
   auto& reg = opts_.registry ? *opts_.registry : telemetry::Registry::global();
@@ -53,7 +51,7 @@ PumpStats IngestPump::run(Source& src) {
                             "cumulative release lag behind the schedule",
                             by_src);
 
-  std::vector<Packet> buf(opts_.burst);
+  std::vector<Packet> buf(kPumpBurst);
   PumpStats ps;
   SourceStats flushed;  // source totals already mirrored into the registry
 
@@ -72,12 +70,7 @@ PumpStats IngestPump::run(Source& src) {
   };
 
   while (!src.done()) {
-    const std::size_t want =
-        opts_.max_packets == 0
-            ? buf.size()
-            : std::min<std::size_t>(buf.size(),
-                                    opts_.max_packets - ps.packets);
-    const std::size_t n = src.pull(buf.data(), want);
+    const std::size_t n = src.pull(buf.data(), buf.size());
     if (n == 0) {
       if (src.done()) break;
       ++ps.would_block;
@@ -87,8 +80,7 @@ PumpStats IngestPump::run(Source& src) {
       // arms: a zero hint ("retry whenever") waits the full bound, and any
       // non-zero hint — however far in the future the source schedules its
       // next packet — is clamped to it, so the pump re-polls (and honors
-      // done()/max_packets) within max_wait_us no matter what the source
-      // reports.
+      // done()) within max_wait_us no matter what the source reports.
       const uint64_t bound = opts_.max_wait_us * 1'000;
       const uint64_t hint = src.ns_until_ready();
       sleep_ns(hint == 0 ? bound : std::min(hint, bound));
@@ -102,7 +94,6 @@ PumpStats IngestPump::run(Source& src) {
     }
     ps.packets += n;
     mirror();
-    if (opts_.max_packets != 0 && ps.packets >= opts_.max_packets) break;
   }
   mirror();
   ps.source = src.stats();

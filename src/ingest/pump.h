@@ -33,16 +33,15 @@
 
 namespace newton::ingest {
 
+// Packets per pull: one default runtime burst (RuntimeOptions::burst).
+inline constexpr std::size_t kPumpBurst = 64;
+
 struct PumpOptions {
-  std::size_t burst = 64;  // packets per pull; mirrors RuntimeOptions::burst
   // Registry receiving the per-source series; nullptr = process global.
   telemetry::Registry* registry = nullptr;
   // Upper bound for one would-block sleep.  Keeps the pump responsive to a
   // source whose readiness estimate is coarse.
   uint64_t max_wait_us = 1'000;
-  // Stop after this many forwarded packets (0 = until the source is done) —
-  // the budget for endless live sockets.
-  uint64_t max_packets = 0;
 };
 
 struct PumpStats {
@@ -57,9 +56,9 @@ class IngestPump {
  public:
   explicit IngestPump(ShardedRuntime& rt, PumpOptions opts = {});
 
-  // Run the source to completion (or to opts.max_packets).  The runtime is
-  // left running: callers finish() it when the last source is drained, so
-  // several sources can feed one runtime back to back.
+  // Run the source to completion.  The runtime is left running: callers
+  // finish() it when the last source is drained, so several sources can
+  // feed one runtime back to back.
   PumpStats run(Source& src);
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -54,10 +53,6 @@ ShardedRuntime::ShardedRuntime(NewtonSwitch& primary, RuntimeOptions opts,
         replicas_dirty_ = true;
       });
   if (opts_.burst == 0) opts_.burst = 1;
-  // The environment escape hatch wins over the option: one variable
-  // bisects a suspected compiled-executor miscompare back to the
-  // interpreter without touching any call site.
-  if (std::getenv("NEWTON_NO_JIT") != nullptr) opts_.jit = false;
   compile::ExecOptions exec_opts;
   exec_opts.enabled = opts_.jit;
   workers_.reserve(opts_.num_shards);
@@ -132,7 +127,7 @@ void ShardedRuntime::bind_telemetry() {
   metrics_.jit_recompiles =
       &reg.counter("newton_jit_recompiles_total",
                    "Chain-JIT rebuild events (back-to-back rule updates "
-                   "coalesce into one rebuild; see jit_debounce_windows)");
+                   "coalesce into one rebuild at the next quiet barrier)");
   metrics_.shard_packets.resize(workers_.size());
   metrics_.shard_occupancy.resize(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -229,6 +224,7 @@ void ShardedRuntime::withdraw(const std::string& name) {
 void ShardedRuntime::start() {
   if (started_) return;
   reload_replicas();
+  if (jit_stale_) relower_replicas();
   for (auto& w : workers_) {
     w->reset_banks();
     w->start();
@@ -259,51 +255,38 @@ void ShardedRuntime::process(const Packet& pkt) {
   ++stats_.packets_in;
 }
 
-void ShardedRuntime::flush_bucket(std::size_t bucket) {
-  auto& buf = staging_[bucket];
+void ShardedRuntime::push_to_bucket(std::size_t bucket, const WorkItem* items,
+                                    std::size_t n) {
   std::size_t done = 0;
-  while (done < buf.size()) {
+  while (done < n) {
     const std::size_t wi = shard_map_[bucket];
     ShardWorker& w = *workers_[wi];
     const uint64_t hb = w.heartbeat();
     std::size_t pushed = 0;
-    const auto r = w.ring().push_bulk_for(buf.data() + done,
-                                          buf.size() - done,
+    const auto r = w.ring().push_bulk_for(items + done, n - done,
                                           opts_.watchdog_stall_ms, &pushed);
     done += pushed;
     stats_.backpressure_stalls += r.stalls;
-    if (r.ok) break;  // everything landed
+    if (r.ok) return;  // everything landed
     // Push failed: the ring closed (worker crashed), or it made no progress
     // past the watchdog deadline.  An advancing heartbeat means a slow but
     // live worker — retry; frozen heartbeat means a hang.  Items already
     // pushed sit in the dead worker's ring backlog, which failover()
-    // salvages and redistributes ahead of the rest of this buffer.
+    // salvages and re-pushes to the successor ahead of the rest of items.
     if (!w.dead() && w.heartbeat() != hb) continue;
     failover(wi);
   }
+}
+
+void ShardedRuntime::flush_bucket(std::size_t bucket) {
+  auto& buf = staging_[bucket];
+  push_to_bucket(bucket, buf.data(), buf.size());
   buf.clear();
 }
 
 void ShardedRuntime::flush_staging() {
   for (std::size_t b = 0; b < staging_.size(); ++b)
     if (!staging_[b].empty()) flush_bucket(b);
-}
-
-void ShardedRuntime::route_packet(std::size_t bucket, const Packet& pkt) {
-  while (true) {
-    const std::size_t wi = shard_map_[bucket];
-    ShardWorker& w = *workers_[wi];
-    const uint64_t hb = w.heartbeat();
-    const auto r = w.ring().push_for({WorkItem::Kind::Packet, pkt},
-                                     opts_.watchdog_stall_ms);
-    stats_.backpressure_stalls += r.stalls;
-    if (r.ok) return;
-    // Push failed: the ring closed (worker crashed), or it stayed full past
-    // the watchdog deadline.  A full ring with an advancing heartbeat is
-    // just a slow worker — retry; frozen heartbeat means a hang.
-    if (!w.dead() && w.heartbeat() != hb) continue;
-    failover(wi);
-  }
 }
 
 void ShardedRuntime::kill_shard_for_test(std::size_t i) {
@@ -390,14 +373,20 @@ void ShardedRuntime::failover(std::size_t wi) {
   for (const ReportRecord& r : dead.reports().records()) deliver(r);
   dead.reports().clear();
 
-  // Re-push the unprocessed backlog (items queued behind the crash point)
-  // through the remapped buckets, keeping them in the open window.
-  WorkItem item;
-  while (dead.ring().try_pop(item)) {
-    if (item.kind != WorkItem::Kind::Packet) continue;
-    route_packet(opts_.shard_key.shard_of(item.pkt, shard_map_.size()),
-                 item.pkt);
-    ++stats_.redistributed_packets;
+  // Re-push the unprocessed backlog (packets queued behind the crash
+  // point) in order, keeping them in the open window.  Every bucket the
+  // dead worker owned now maps to succ; bucket wi is one of them (a worker
+  // owns its own bucket until it fails), so the backlog goes through it.
+  std::vector<WorkItem> chunk(opts_.burst);
+  for (std::size_t n;
+       (n = dead.ring().peek_bulk(chunk.data(), chunk.size())) != 0;) {
+    dead.ring().consume(n);
+    const auto pkts_end = std::remove_if(
+        chunk.begin(), chunk.begin() + n,
+        [](const WorkItem& it) { return it.kind != WorkItem::Kind::Packet; });
+    const auto npkts = static_cast<std::size_t>(pkts_end - chunk.begin());
+    push_to_bucket(wi, chunk.data(), npkts);
+    stats_.redistributed_packets += npkts;
   }
 }
 
@@ -465,9 +454,10 @@ void ShardedRuntime::barrier() {
   const bool mutating = !pending_.empty();
   drain_and_merge();
   apply_mutations();
-  if (replicas_dirty_)
-    reload_replicas(/*build_jit=*/opts_.jit_debounce_windows == 0);
-  maybe_relower(mutating);
+  // A barrier that mutated reloads with lowering deferred; the next quiet
+  // one lowers, so a storm of back-to-back updates costs one rebuild.
+  if (replicas_dirty_) reload_replicas();
+  if (jit_stale_ && !mutating) relower_replicas();
   for (std::size_t i = 0; i < workers_.size(); ++i)
     if (alive_[i]) workers_[i]->reset_banks();
   metrics_.merge_us->observe(
@@ -586,34 +576,19 @@ void ShardedRuntime::apply_mutations() {
   if (applied) replicas_dirty_ = true;
 }
 
-void ShardedRuntime::reload_replicas(bool build_jit) {
+void ShardedRuntime::reload_replicas() {
   for (std::size_t i = 0; i < workers_.size(); ++i)
     if (alive_[i])
-      workers_[i]->load_replica(primary_.pipeline(), primary_.init_table(),
-                                build_jit);
+      workers_[i]->load_replica(primary_.pipeline(), primary_.init_table());
   replicas_dirty_ = false;
-  if (opts_.jit && build_jit) {
-    ++stats_.jit_recompiles;
-    jit_stale_ = false;
-    publish_jit_coverage();
-  } else if (opts_.jit) {
-    jit_stale_ = true;
-    quiet_barriers_ = 0;
-  }
+  jit_stale_ = opts_.jit;
 }
 
-void ShardedRuntime::maybe_relower(bool mutated_this_barrier) {
-  if (!opts_.jit || !jit_stale_) return;
-  if (mutated_this_barrier) {
-    quiet_barriers_ = 0;
-    return;
-  }
-  if (++quiet_barriers_ < opts_.jit_debounce_windows) return;
+void ShardedRuntime::relower_replicas() {
   for (std::size_t i = 0; i < workers_.size(); ++i)
     if (alive_[i]) workers_[i]->relower_chains();
   ++stats_.jit_recompiles;
   jit_stale_ = false;
-  quiet_barriers_ = 0;
   publish_jit_coverage();
 }
 

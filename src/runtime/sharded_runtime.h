@@ -47,9 +47,9 @@ struct RuntimeOptions {
   std::size_t queue_capacity = 4096;  // per-worker ring slots
   // Hot-path batch size: the demux stages up to this many packets per
   // shard before one bulk ring push, and workers drain/execute in bursts
-  // of the same size (docs/runtime.md "Hot path").  1 reproduces the
-  // item-at-a-time handoff exactly; results are byte-identical at any
-  // value — only the synchronization amortization changes.
+  // of the same size (docs/runtime.md "Hot path").  1 hands packets over
+  // one at a time; results are byte-identical at any value — only the
+  // synchronization amortization changes.
   std::size_t burst = 64;
   ShardKey shard_key = ShardKey::five_tuple();
   // Keep per-window merged result snapshots (tests compare them across
@@ -67,16 +67,10 @@ struct RuntimeOptions {
   uint64_t watchdog_stall_ms = 2000;
   // Lower installed chains into compiled per-query executors in every
   // worker (src/compile/, docs/compile.md); the interpreter remains the
-  // fallback for uncovered shapes.  Forced off by the NEWTON_NO_JIT
-  // environment variable (checked once at construction).
+  // fallback for uncovered shapes.  Under churn a barrier that applies rule
+  // mutations reloads the replicas with lowering deferred, and the next
+  // mutation-free barrier lowers once for the whole batch (docs/admission.md).
   bool jit = true;
-  // Recompile coalescing under churn (docs/admission.md): after a barrier
-  // applies rule mutations, the replica reload defers chain lowering and
-  // the workers run the (byte-identical) interpreter until this many
-  // consecutive mutation-free barriers pass, then ONE rebuild covers the
-  // whole batch of updates.  0 rebuilds eagerly at every reload (the
-  // pre-churn behavior).
-  std::size_t jit_debounce_windows = 1;
 };
 
 // Aggregated per-run totals, derived from the same values the telemetry
@@ -166,8 +160,7 @@ class ShardedRuntime {
   std::size_t num_shards() const { return workers_.size(); }
   std::size_t live_shards() const { return live_count_; }
 
-  // Whether chain compilation is on for this runtime (RuntimeOptions::jit
-  // minus the NEWTON_NO_JIT override).
+  // Whether chain compilation is on for this runtime (RuntimeOptions::jit).
   bool jit_enabled() const { return opts_.jit; }
   // Per-query compiled/interpreted coverage of the current replicas, read
   // from the first live worker (all workers load identical replicas).
@@ -185,26 +178,25 @@ class ShardedRuntime {
   void barrier();           // fence all workers, merge, drain, mutate, reset
   void drain_and_merge();   // reports -> sinks, banks -> primary, snapshot
   void apply_mutations();   // queued installs/withdrawals, under quiesce
-  // Re-clone the primary pipeline into every worker.  build_jit = false
-  // defers chain lowering (workers fall back to the interpreter) so
-  // back-to-back reloads coalesce into one rebuild later — see
-  // maybe_relower().
-  void reload_replicas(bool build_jit = true);
-  // Debounced chain-JIT rebuild: called at mutation-free barriers; lowers
-  // the current replicas once the storm has been quiet long enough.
-  void maybe_relower(bool mutated_this_barrier);
+  // Re-clone the primary pipeline into every worker.  Chain lowering is
+  // deferred (workers fall back to the interpreter) so back-to-back
+  // reloads coalesce into one relower_replicas() later.
+  void reload_replicas();
+  // Lower the current replicas' chains in every worker: at start(), and at
+  // the first mutation-free barrier after a reload.
+  void relower_replicas();
   // Mirror per-query compiled/interpreted coverage into the registry's
   // newton_jit_query_compiled gauge (cold path: after replica reloads).
   void publish_jit_coverage();
   void deliver(const ReportRecord& r);
   void bind_telemetry();    // resolve metric handles against the registry
   void flush_telemetry();   // mirror counters batched at each barrier
-  // Push one packet to the worker owning `bucket`, failing over dead or
-  // hung workers until the push lands.
-  void route_packet(std::size_t bucket, const Packet& pkt);
-  // Bulk-push everything staged for `bucket` into its current owner's ring
-  // (single index handshake per burst), failing over dead/hung owners.
-  void flush_bucket(std::size_t bucket);
+  // Push items[0, n) in order into the ring of the worker owning `bucket`
+  // (one index handshake per burst), retrying slow owners and failing over
+  // dead or hung ones until every item landed.
+  void push_to_bucket(std::size_t bucket, const WorkItem* items,
+                      std::size_t n);
+  void flush_bucket(std::size_t bucket);  // staging_[bucket] -> its owner
   void flush_staging();  // all buckets, in bucket order (window barriers)
   // Retire worker `wi`: remap its buckets to a surviving shard and (when
   // the thread exited and left its replica intact) merge its window-partial
@@ -281,11 +273,8 @@ class ShardedRuntime {
   bool started_ = false;
   bool at_barrier_ = false;   // quiesce guard: controller mutation allowed
   bool replicas_dirty_ = true;
-  // Chain-JIT debounce state: replicas were reloaded with lowering deferred
-  // (workers interpret), and how many consecutive mutation-free barriers
-  // have passed since.
+  // Replicas were reloaded with lowering deferred (workers interpret).
   bool jit_stale_ = false;
-  std::size_t quiet_barriers_ = 0;
 };
 
 }  // namespace newton

@@ -7,9 +7,13 @@
 // stays live and cheap on CPU-starved hosts (CI containers often pin us to
 // a single core) without the latency cliffs of pure blocking queues.
 //
+// Every transfer is a bulk one (a single item is a burst of one): the
+// producer pushes with try_push_bulk / push_bulk_for, the consumer reads
+// with peek_bulk / wait_peek_bulk and retires what it handled with consume.
+//
 // The release/acquire pair doubles as the runtime's quiesce fence: any
-// plain-memory write the producer performs before push() is visible to the
-// consumer after the matching pop(), and vice versa — which is what makes
+// plain-memory write the producer performs before a push is visible to the
+// consumer after it peeks that item, and vice versa — which is what makes
 // it safe for the demux thread to rebuild a worker's pipeline replica
 // between a fence acknowledgement and the next push.
 #pragma once
@@ -37,29 +41,6 @@ class SpscRing {
 
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
-
-  bool try_push(const T& v) {
-    if (closed_.load(std::memory_order_acquire)) return false;
-    const uint64_t t = tail_.load(std::memory_order_relaxed);
-    if (t - head_cache_ > mask_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (t - head_cache_ > mask_) return false;  // full
-    }
-    buf_[t & mask_] = v;
-    tail_.store(t + 1, std::memory_order_release);
-    return true;
-  }
-
-  bool try_pop(T& out) {
-    const uint64_t h = head_.load(std::memory_order_relaxed);
-    if (h == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (h == tail_cache_) return false;  // empty
-    }
-    out = buf_[h & mask_];
-    head_.store(h + 1, std::memory_order_release);
-    return true;
-  }
 
   // ---- bulk transfer -------------------------------------------------
   // One acquire/release pair moves a whole burst, so the cross-thread
@@ -109,13 +90,6 @@ class SpscRing {
     wake(producer_waiting_);
   }
 
-  // Dequeue up to max items in one handshake; returns the count.
-  std::size_t try_pop_bulk(T* out, std::size_t max) {
-    const std::size_t n = peek_bulk(out, max);
-    consume(n);
-    return n;
-  }
-
   // Blocking bulk peek: waits (spin, then park) until at least one item is
   // queued, then copies up to max items out without consuming them.
   std::size_t wait_peek_bulk(T* out, std::size_t max) {
@@ -130,51 +104,18 @@ class SpscRing {
   }
 
   struct PushResult {
-    uint64_t stalls = 0;  // failed attempts before the item fit
-    bool ok = true;       // false: the ring is closed, nothing was enqueued
+    uint64_t stalls = 0;  // failed attempts while the ring was full
+    bool ok = true;       // false: closed or timed out before all items fit
   };
-
-  // Blocking push.  Fails fast (ok = false) if the ring is closed — a
-  // consumer that exited must not strand its producer spinning forever.
-  // The demux counts `stalls` as backpressure.
-  PushResult push(const T& v) { return push_for(v, /*timeout_ms=*/0); }
-
-  // Blocking push with a deadline: additionally gives up (ok = false, ring
-  // still open) after `timeout_ms` milliseconds without space, so a caller
-  // can check the consumer's health before trying again.  timeout_ms = 0
-  // means no deadline.
-  PushResult push_for(const T& v, uint64_t timeout_ms) {
-    PushResult r;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (true) {
-      if (closed_.load(std::memory_order_acquire)) {
-        r.ok = false;
-        return r;
-      }
-      for (int i = 0; i < kSpin; ++i) {
-        if (try_push(v)) {
-          wake(consumer_waiting_);
-          return r;
-        }
-        ++r.stalls;
-        std::this_thread::yield();
-      }
-      if (timeout_ms != 0 && std::chrono::steady_clock::now() >= deadline) {
-        r.ok = false;
-        return r;
-      }
-      park(producer_waiting_,
-           [this] { return can_push() || closed(); });
-    }
-  }
 
   // Blocking bulk push of the whole batch.  Partial progress is fine (the
   // batch lands as several bursts under backpressure); the call only gives
   // up when the ring closes (ok = false) or when `timeout_ms` milliseconds
   // pass with NO forward progress — a deadline since the last accepted
   // item, not since the call, so a slowly-draining consumer never trips it.
-  // `*pushed` always reports how many leading items were enqueued.
+  // `*pushed` (when non-null) reports how many leading items were enqueued.
+  // timeout_ms = 0 means no deadline: only a close ends the call early,
+  // so a consumer that exited never strands its producer.
   PushResult push_bulk_for(const T* v, std::size_t n, uint64_t timeout_ms,
                            std::size_t* pushed) {
     PushResult r;
@@ -210,24 +151,10 @@ class SpscRing {
     return r;
   }
 
-  // Blocking pop.
-  void pop(T& out) {
-    while (true) {
-      for (int i = 0; i < kSpin; ++i) {
-        if (try_pop(out)) {
-          wake(producer_waiting_);
-          return;
-        }
-        std::this_thread::yield();
-      }
-      park(consumer_waiting_, [this] { return can_pop(); });
-    }
-  }
-
   // Shut the ring: subsequent pushes fail fast; items already enqueued can
-  // still be drained with try_pop.  Either side may close (the runtime's
-  // workers close on death so the demux detects them at the next push);
-  // parked producers are woken promptly.
+  // still be drained with peek_bulk/consume.  Either side may close (the
+  // runtime's workers close on death so the demux detects them at the next
+  // push); parked producers are woken promptly.
   void close() {
     {
       // Holding mu_ orders the store against a parked producer's re-check
@@ -250,7 +177,7 @@ class SpscRing {
   }
 
   // Test seam: invoked at the top of park(), i.e. exactly in the window
-  // between the caller's last failed try_pop/try_push and the waiting-flag
+  // between the caller's last failed peek/push attempt and the waiting-flag
   // publication.  Lets a regression test inject a push into that window
   // deterministically (tests/test_runtime.cpp ParkRecheck).
   void set_park_test_hook(std::function<void()> hook) {

@@ -35,13 +35,12 @@ ShardWorker::~ShardWorker() {
     // Release a Stall'd thread first; the Stop push fails harmlessly on a
     // closed ring (dead worker), whose thread has already returned.
     stall_release_.store(true, std::memory_order_release);
-    ring_.push({WorkItem::Kind::Stop, {}});
+    post({WorkItem::Kind::Stop, {}});
     thread_.join();
   }
 }
 
-void ShardWorker::load_replica(const Pipeline& pipe, const InitModule& init,
-                               bool build_jit) {
+void ShardWorker::load_replica(const Pipeline& pipe, const InitModule& init) {
   pipeline_ = pipe.clone();
   auto cloned = std::dynamic_pointer_cast<InitModule>(init.clone());
   if (!cloned)
@@ -60,23 +59,20 @@ void ShardWorker::load_replica(const Pipeline& pipe, const InitModule& init,
       }
     }
   }
-  // Lower the freshly-loaded chains AFTER the sink rebinding above: the
-  // compiled R ops capture the sink pointers as constants.  Under churn the
-  // runtime defers the lowering (build_jit = false): the replica runs the
-  // interpreter — byte-identical — until the install storm goes quiet, then
-  // one relower_chains() covers the whole batch of updates.
-  compile::ExecOptions opts = exec_opts_;
-  opts.enabled = exec_opts_.enabled && build_jit;
-  jit_.build(pipeline_, burst_, opts);
+  // The replica interprets — byte-identically — until the runtime calls
+  // relower_chains(), which under churn waits for the first mutation-free
+  // barrier so one rebuild covers a whole batch of updates.
+  jit_.clear();
 }
 
 void ShardWorker::relower_chains() {
+  // Runs after load_replica's sink rebinding: the compiled R ops capture
+  // the sink pointers as constants.
   jit_.build(pipeline_, burst_, exec_opts_);
 }
 
 void ShardWorker::sync_jit_stats() {
   const compile::ExecStats& es = jit_.stats();
-  stats_.jit_planned_runs = es.planned_runs;
   stats_.jit_hash_lanes = es.hash_lanes;
   stats_.jit_prefetch_issued = es.prefetch_issued;
 }

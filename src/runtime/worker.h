@@ -36,10 +36,8 @@ struct WorkerStats {
   uint64_t jit_packets = 0;
   uint64_t jit_fused_packets = 0;  // always 0; read by perfbench/workloads.cpp
   // Burst-schedule counters mirrored from the compiled executor's ExecStats
-  // (compile/executor.h) at window fences: runs that took the three-phase
-  // schedule, digest lanes batch-hashed, and state-bank prefetch hints
-  // issued.
-  uint64_t jit_planned_runs = 0;
+  // (compile/executor.h) at window fences: digest lanes batch-hashed and
+  // state-bank prefetch hints issued.
   uint64_t jit_hash_lanes = 0;
   uint64_t jit_prefetch_issued = 0;
 };
@@ -59,8 +57,8 @@ class ShardWorker {
  public:
   // `burst` is the drain batch size: the worker pulls up to this many ring
   // items per handshake and executes packet runs through the pipeline
-  // stage-major (Pipeline::process_burst).  1 reproduces the item-at-a-time
-  // path exactly.
+  // stage-major (Pipeline::process_burst).  1 executes one packet per
+  // handshake.
   ShardWorker(std::size_t index, std::size_t queue_capacity,
               std::size_t burst = 64);
   ~ShardWorker();
@@ -68,24 +66,21 @@ class ShardWorker {
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  // Replace the replica with a fresh deep clone of `pipe` + `init`, bind
-  // the cloned R modules to this worker's private report buffer, and lower
-  // the installed chains into compiled executors (unless jit was turned
-  // off).  `build_jit` = false defers the lowering — the replica runs the
-  // interpreter until relower_chains() — so the runtime can coalesce
-  // recompiles across back-to-back rule updates (a stale CompiledPipeline
-  // must NEVER survive a reload: its ops hold pointers into the replaced
-  // replica's modules).  Demux thread only; worker must be quiesced (not
-  // yet started, or fenced).
-  void load_replica(const Pipeline& pipe, const InitModule& init,
-                    bool build_jit = true);
+  // Replace the replica with a fresh deep clone of `pipe` + `init` and
+  // bind the cloned R modules to this worker's private report buffer.  The
+  // compiled executors are dropped (a stale CompiledPipeline must NEVER
+  // survive a reload: its ops hold pointers into the replaced replica's
+  // modules), so the replica runs the interpreter until relower_chains().
+  // Demux thread only; worker must be quiesced (not yet started, or
+  // fenced).
+  void load_replica(const Pipeline& pipe, const InitModule& init);
 
-  // Lower the current replica's chains into compiled executors (the
-  // deferred half of load_replica(..., false)).  Demux thread, quiesced.
+  // Lower the current replica's chains into compiled executors (a no-op
+  // build when jit is off).  Demux thread, quiesced.
   void relower_chains();
 
-  // Executor options for subsequent replica loads: chain compilation
-  // on/off (RuntimeOptions::jit / NEWTON_NO_JIT).
+  // Executor options for subsequent lowerings: chain compilation on/off
+  // (RuntimeOptions::jit).
   void set_exec_options(const compile::ExecOptions& opts) {
     exec_opts_ = opts;
   }
@@ -99,10 +94,11 @@ class ShardWorker {
 
   SpscRing<WorkItem>& ring() { return ring_; }
 
-  // Enqueue one item.  `ok = false` means the ring is closed — the worker
-  // died (crashed or was failed over); nothing was enqueued.
+  // Enqueue one item, waiting out a full ring.  `ok = false` means the
+  // ring is closed — the worker died (crashed or was failed over); nothing
+  // was enqueued.
   SpscRing<WorkItem>::PushResult post(const WorkItem& item) {
-    return ring_.push(item);
+    return ring_.push_bulk_for(&item, 1, /*timeout_ms=*/0, nullptr);
   }
 
   // Block (spin+yield) until the worker acknowledged `seq` fences total.

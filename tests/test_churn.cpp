@@ -208,18 +208,32 @@ TEST(RejectedInstall, RacingWithdrawMatchesWithdrawOnlyRun) {
 // ---------------------------------------------------------------------------
 
 TEST(JitCoalescing, InstallStormTriggersFewRebuilds) {
+  // A barrier that applies mutations reloads the replicas with lowering
+  // deferred; the next mutation-free barrier lowers once.  A storm of
+  // back-to-back mutation barriers therefore costs one rebuild, taken
+  // after the storm.
   const Trace t = port_trace(4, 8, 60);
   constexpr std::size_t kStormInstalls = 12;
 
-  auto run = [&](std::size_t debounce, bool jit,
-                 std::vector<ReportRecord>& reports) -> uint64_t {
+  struct Out {
+    uint64_t rebuilds = 0;
+    uint64_t mutation_barriers = 0;
+    uint64_t jit_in_storm = 0;  // compiled packets up to the storm's end
+    uint64_t jit_total = 0;
+    std::vector<ReportRecord> reports;
+  };
+  auto jit_packets = [](const ShardedRuntime& rt) {
+    uint64_t n = 0;
+    for (const WorkerStats& w : rt.stats().workers) n += w.jit_packets;
+    return n;
+  };
+  auto run = [&](bool jit) {
     telemetry::Registry::global().reset();
     Analyzer an;
     NewtonSwitch sw(1, 24, &an, 1 << 14);
     RuntimeOptions ro;
     ro.num_shards = 1;
     ro.jit = jit;
-    ro.jit_debounce_windows = debounce;
     ShardedRuntime rt(sw, ro, &an);
     ReportBuffer buf;
     rt.set_report_sink(&buf);
@@ -227,44 +241,58 @@ TEST(JitCoalescing, InstallStormTriggersFewRebuilds) {
       rt.install(port_query("base" + std::to_string(i),
                             static_cast<uint16_t>(20'000 + i)));
     rt.start();
+    Out out;
     std::size_t queued = 0;
+    bool storm_over = false;
     uint64_t seen_epoch = ~0ull;
     for (const Packet& p : t.packets) {
       const uint64_t epoch = p.ts_ns / 100'000'000ull;
-      if (epoch != seen_epoch && epoch >= 1 && queued < kStormInstalls) {
+      if (epoch != seen_epoch) {
         seen_epoch = epoch;
-        // Three installs per window: a storm of back-to-back mutation
-        // barriers.
-        for (int j = 0; j < 3 && queued < kStormInstalls; ++j, ++queued)
-          rt.install(port_query("storm" + std::to_string(queued),
-                                static_cast<uint16_t>(21'000 + queued)));
+        if (queued == kStormInstalls && !storm_over) {
+          // The storm's last batch applied at the previous barrier, which
+          // deferred lowering: packets compiled from here on ran on a
+          // rebuild taken after the storm.
+          storm_over = true;
+          out.jit_in_storm = jit_packets(rt);
+        }
+        if (epoch >= 1 && queued < kStormInstalls) {
+          // Three installs per window: a storm of back-to-back mutation
+          // barriers.
+          for (int j = 0; j < 3 && queued < kStormInstalls; ++j, ++queued)
+            rt.install(port_query("storm" + std::to_string(queued),
+                                  static_cast<uint16_t>(21'000 + queued)));
+          ++out.mutation_barriers;
+        }
       }
       rt.process(p);
     }
     rt.finish();
-    reports = buf.records();
-    return rt.stats().jit_recompiles;
+    out.rebuilds = rt.stats().jit_recompiles;
+    out.jit_total = jit_packets(rt);
+    out.reports = buf.records();
+    return out;
   };
 
-  std::vector<ReportRecord> debounced, eager, interp;
-  const uint64_t coalesced = run(/*debounce=*/2, /*jit=*/true, debounced);
-  const uint64_t eager_n = run(/*debounce=*/0, /*jit=*/true, eager);
-  (void)run(/*debounce=*/0, /*jit=*/false, interp);
+  const Out on = run(/*jit=*/true);
+  const Out off = run(/*jit=*/false);
 
-  // Eager rebuilds once per mutation barrier (+1 initial); debounce folds
-  // back-to-back storms into far fewer.
-  EXPECT_LT(coalesced, kStormInstalls / 2);
-  EXPECT_GE(coalesced, 1u);
-  EXPECT_LT(coalesced, eager_n);
+  // One rebuild at start and one after the storm, against four mutation
+  // barriers.
+  ASSERT_EQ(on.mutation_barriers, 4u);
+  EXPECT_LT(on.rebuilds, on.mutation_barriers);
+  EXPECT_GE(on.rebuilds, 2u);
+  EXPECT_GT(on.jit_total, on.jit_in_storm) << "no compiled packets after "
+                                              "the storm";
+  EXPECT_EQ(off.rebuilds, 0u);
+  EXPECT_EQ(off.jit_total, 0u);
 
-  // Coalescing (and the interpreter windows it runs in the meantime) must
-  // not change a single output byte.
-  ASSERT_EQ(debounced.size(), eager.size());
-  ASSERT_EQ(debounced.size(), interp.size());
-  for (std::size_t i = 0; i < debounced.size(); ++i) {
-    EXPECT_TRUE(same_record(debounced[i], eager[i])) << "record " << i;
-    EXPECT_TRUE(same_record(debounced[i], interp[i])) << "record " << i;
-  }
+  // The deferral (and the interpreter windows it runs in the meantime)
+  // must not change a single output byte.
+  ASSERT_EQ(on.reports.size(), off.reports.size());
+  ASSERT_FALSE(on.reports.empty());
+  for (std::size_t i = 0; i < on.reports.size(); ++i)
+    EXPECT_TRUE(same_record(on.reports[i], off.reports[i])) << "record " << i;
 }
 
 // ---------------------------------------------------------------------------

@@ -658,6 +658,12 @@ TEST(Watchdog, KilledShardFailsOverWithoutLosingReports) {
     EXPECT_EQ(r.stats.live_shards, 3u);
     EXPECT_EQ(r.stats.abandoned_packets, 0u);
     EXPECT_EQ(r.stats.packets_in, t.size());
+    // Every demuxed packet executed exactly once: the dead worker's count
+    // (frozen at failover) plus the survivors', redistributed backlog
+    // included.
+    uint64_t executed = 0;
+    for (const WorkerStats& w : r.stats.workers) executed += w.packets;
+    EXPECT_EQ(executed, t.size());
     for (const Query& q : queries) {
       EXPECT_EQ(ref.an->reports_for(q.name), r.an->reports_for(q.name));
       EXPECT_EQ(ref.an->detected(q.name), r.an->detected(q.name));

@@ -493,12 +493,14 @@ TEST(SpscRing, BulkTransferRoundTrips) {
   EXPECT_EQ(ring.peek_bulk(buf, 16), 5u);
   EXPECT_EQ(buf[0], 3);
   EXPECT_EQ(ring.try_push_bulk(src + 8, 4), 3u);  // freed space reused
-  // The consumer-side tail cache refreshes lazily, so one pop may see a
+  // The consumer-side tail cache refreshes lazily, so one peek may see a
   // smaller burst than is queued — drain and check the whole sequence.
   int drained[16];
   std::size_t total = 0;
-  for (std::size_t n; (n = ring.try_pop_bulk(drained + total, 16)) != 0;)
+  for (std::size_t n; (n = ring.peek_bulk(drained + total, 16)) != 0;) {
+    ring.consume(n);
     total += n;
+  }
   ASSERT_EQ(total, 8u);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(drained[i], 3 + i);
 
@@ -520,7 +522,8 @@ TEST(SpscRing, BulkTransferRoundTrips) {
   SpscRing<int> wrap(8);
   for (int round = 0; round < 5; ++round) {
     ASSERT_EQ(wrap.try_push_bulk(src, 5), 5u);
-    ASSERT_EQ(wrap.try_pop_bulk(buf, 5), 5u);
+    ASSERT_EQ(wrap.peek_bulk(buf, 5), 5u);
+    wrap.consume(5);
     for (int i = 0; i < 5; ++i) ASSERT_EQ(buf[i], i);
   }
 }
@@ -538,57 +541,68 @@ TEST(SpscRing, ParkRecheckSeesItemPublishedBeforeWait) {
   // 1ms timeout with data sitting in the queue.
   SpscRing<int> ring(8);
   int next = 0;
-  ring.set_park_test_hook([&] { ASSERT_TRUE(ring.try_push(++next)); });
+  ring.set_park_test_hook([&] {
+    ++next;
+    ASSERT_EQ(ring.try_push_bulk(&next, 1), 1u);
+  });
 
   constexpr int kIters = 16;
   int fast = 0;
   for (int i = 1; i <= kIters; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     int v = 0;
-    ring.pop(v);
+    ASSERT_EQ(ring.wait_peek_bulk(&v, 1), 1u);
+    ring.consume(1);
     const double us = std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
     EXPECT_EQ(v, i);
     if (us < 500.0) ++fast;
   }
-  // Pre-fix every pop ate the >= 1000us timeout; post-fix the re-check
+  // Pre-fix every wait ate the >= 1000us timeout; post-fix the re-check
   // returns immediately.  Allow a few scheduler hiccups.
   EXPECT_GE(fast, kIters - 4);
 }
 
 TEST(SpscRing, PushAfterCloseFailsFastAndWakesWaiters) {
   SpscRing<int> ring(4);
-  ASSERT_TRUE(ring.try_push(1));
+  const int one = 1, two = 2, three = 3;
+  ASSERT_EQ(ring.try_push_bulk(&one, 1), 1u);
   ring.close();
   EXPECT_TRUE(ring.closed());
 
   // Closed ring: non-blocking and blocking pushes both refuse immediately —
   // the demux must see the failure and fail the shard over, never enqueue
   // into a dead worker's ring.
-  EXPECT_FALSE(ring.try_push(2));
-  const auto res = ring.push_for(3, /*stall_ms=*/1'000);
+  EXPECT_EQ(ring.try_push_bulk(&two, 1), 0u);
+  std::size_t pushed = 1;
+  const auto res = ring.push_bulk_for(&three, 1, /*timeout_ms=*/1'000,
+                                      &pushed);
   EXPECT_FALSE(res.ok);
+  EXPECT_EQ(pushed, 0u);
 
   // Items accepted before the close still drain (the failover path salvages
   // the backlog), and close() is idempotent.
   int v = 0;
-  EXPECT_TRUE(ring.try_pop(v));
+  EXPECT_EQ(ring.peek_bulk(&v, 1), 1u);
   EXPECT_EQ(v, 1);
-  EXPECT_FALSE(ring.try_pop(v));
+  ring.consume(1);
+  EXPECT_EQ(ring.peek_bulk(&v, 1), 0u);
   ring.close();
   EXPECT_TRUE(ring.closed());
 
   // A producer blocked on a full ring is released promptly by close(),
   // instead of sleeping out its full deadline.
   SpscRing<int> full(1);
-  ASSERT_TRUE(full.try_push(7));
+  const int seven = 7, eight = 8;
+  ASSERT_EQ(full.try_push_bulk(&seven, 1), 1u);
   std::thread closer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     full.close();
   });
   const auto t0 = std::chrono::steady_clock::now();
-  const auto blocked = full.push_for(8, /*stall_ms=*/5'000);
+  const auto blocked =
+      full.push_bulk_for(&eight, 1, /*timeout_ms=*/5'000, nullptr);
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
@@ -605,19 +619,22 @@ TEST(SpscRing, PingPongLatency) {
   // even single-core and under TSan.
   SpscRing<int> up(4), down(4);
   constexpr int kRounds = 1000;
+  auto send = [](SpscRing<int>& r, int v) {
+    ASSERT_TRUE(r.push_bulk_for(&v, 1, /*timeout_ms=*/0, nullptr).ok);
+  };
+  auto recv = [](SpscRing<int>& r) {
+    int v = 0;
+    EXPECT_EQ(r.wait_peek_bulk(&v, 1), 1u);
+    r.consume(1);
+    return v;
+  };
   std::thread echo([&] {
-    for (int i = 0; i < kRounds; ++i) {
-      int v = 0;
-      up.pop(v);
-      down.push(v + 1);
-    }
+    for (int i = 0; i < kRounds; ++i) send(down, recv(up) + 1);
   });
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kRounds; ++i) {
-    up.push(i);
-    int v = 0;
-    down.pop(v);
-    ASSERT_EQ(v, i + 1);
+    send(up, i);
+    ASSERT_EQ(recv(down), i + 1);
   }
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
