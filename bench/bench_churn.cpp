@@ -13,7 +13,9 @@
 //            every window barrier.  Reports sustained churn ops/min,
 //            concurrent query count, rejected installs, and how many JIT
 //            rebuilds the mutation storm coalesced into (lowering waits
-//            for the first mutation-free barrier).
+//            for the first mutation-free barrier), and the window-barrier
+//            wall time p50/p99 as the registry's
+//            newton_runtime_window_merge_duration_us histogram reports it.
 //   phase 2  install-latency SLO: on the still-loaded switch, run direct
 //            controller install+withdraw cycles and report the wall and
 //            modeled install-latency distribution (p50/p95/p99).
@@ -194,6 +196,13 @@ int main(int argc, char** argv) {
   const std::size_t churn_ops = churn_installs + churn_withdrawals;
   const double ops_per_min = static_cast<double>(churn_ops) / (wall_s / 60.0);
   const std::size_t concurrent = rt.controller().num_installed();
+  // Barrier cost as a live scrape sees it: quantiles of the runtime's own
+  // merge-duration histogram, not a second stopwatch.
+  const telemetry::Snapshot snap = telemetry::Registry::global().snapshot();
+  const telemetry::Sample* merge =
+      snap.find("newton_runtime_window_merge_duration_us");
+  const double barrier_p50_us = merge ? telemetry::quantile(*merge, 0.50) : 0;
+  const double barrier_p99_us = merge ? telemetry::quantile(*merge, 0.99) : 0;
 
   std::printf("phase 1: %zu concurrent queries, %zu packets, %zu shards\n",
               concurrent, t.size(), shards);
@@ -205,6 +214,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(st.installs_rejected),
               static_cast<unsigned long long>(st.windows),
               static_cast<unsigned long long>(st.jit_recompiles));
+  std::printf("  window barrier (registry histogram): p50 %.0f us  "
+              "p99 %.0f us\n",
+              barrier_p50_us, barrier_p99_us);
   if (concurrent < n_queries) {
     std::fprintf(stderr, "FAIL: base queries fell below %zu\n", n_queries);
     return 1;
@@ -265,6 +277,7 @@ int main(int argc, char** argv) {
                  "  \"rejected_installs\": %llu,\n"
                  "  \"windows\": %llu,\n"
                  "  \"jit_recompiles\": %llu,\n"
+                 "  \"barrier_us\": {\"p50\": %.1f, \"p99\": %.1f},\n"
                  "  \"install_wall_ms\": {\"p50\": %.4f, \"p95\": %.4f, "
                  "\"p99\": %.4f},\n"
                  "  \"install_model_ms_p99\": %.4f,\n"
@@ -277,8 +290,9 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(st.installs_rejected),
                  static_cast<unsigned long long>(st.windows),
                  static_cast<unsigned long long>(st.jit_recompiles),
-                 p50w, p95w, p99w, p99m, before.stranded_registers,
-                 after.stranded_registers, cs.moved);
+                 barrier_p50_us, barrier_p99_us, p50w, p95w, p99w, p99m,
+                 before.stranded_registers, after.stranded_registers,
+                 cs.moved);
     std::fclose(f);
     std::printf("wrote BENCH_churn.json\n");
   }

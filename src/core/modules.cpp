@@ -1,5 +1,7 @@
 #include "core/modules.h"
 
+#include <stdexcept>
+
 #include "sketch/hash.h"
 #include "telemetry/telemetry.h"
 
@@ -19,7 +21,34 @@ telemetry::Counter& rule_hits(const char* module_type) {
       {{"module", module_type}});
 }
 
+// copy_rules_from's source, typed: a replica refreshes only from the
+// module it was cloned from, so any other kind of table is a logic error.
+template <typename Module>
+const Module& rules_source(const TableProgram& src) {
+  const auto* m = dynamic_cast<const Module*>(&src);
+  if (!m)
+    throw std::logic_error("copy_rules_from: " + src.name() +
+                           " is a different kind of table");
+  return *m;
+}
+
 }  // namespace
+
+void KModule::copy_rules_from(const TableProgram& src) {
+  table_ = rules_source<KModule>(src).table_;
+}
+void HModule::copy_rules_from(const TableProgram& src) {
+  table_ = rules_source<HModule>(src).table_;
+}
+void SModule::copy_rules_from(const TableProgram& src) {
+  table_ = rules_source<SModule>(src).table_;
+}
+void RModule::copy_rules_from(const TableProgram& src) {
+  table_ = rules_source<RModule>(src).table_;
+}
+void InitModule::copy_rules_from(const TableProgram& src) {
+  table_ = rules_source<InitModule>(src).table_;
+}
 
 void KModule::execute(Phv& phv) {
   for (uint16_t qid : phv.active_list) {

@@ -43,8 +43,12 @@ class KModule : public TableProgram {
   std::shared_ptr<TableProgram> clone() const override {
     return std::make_shared<KModule>(*this);
   }
+  uint64_t rule_version() const override { return table_.rule_ops(); }
   ConfigTable<KConfig>& table() { return table_; }
   const ConfigTable<KConfig>& table() const { return table_; }
+
+ protected:
+  void copy_rules_from(const TableProgram& src) override;
 
  private:
   std::string name_;
@@ -61,7 +65,11 @@ class HModule : public TableProgram {
   std::shared_ptr<TableProgram> clone() const override {
     return std::make_shared<HModule>(*this);
   }
+  uint64_t rule_version() const override { return table_.rule_ops(); }
   ConfigTable<HConfig>& table() { return table_; }
+
+ protected:
+  void copy_rules_from(const TableProgram& src) override;
 
  private:
   std::string name_;
@@ -81,9 +89,13 @@ class SModule : public TableProgram {
   std::shared_ptr<TableProgram> clone() const override {
     return std::make_shared<SModule>(*this);
   }
+  uint64_t rule_version() const override { return table_.rule_ops(); }
   ConfigTable<SConfig>& table() { return table_; }
   RegisterArray& registers() { return regs_; }
   const RegisterArray& registers() const { return regs_; }
+
+ protected:
+  void copy_rules_from(const TableProgram& src) override;
 
  private:
   std::string name_;
@@ -105,10 +117,14 @@ class RModule : public TableProgram {
   std::shared_ptr<TableProgram> clone() const override {
     return std::make_shared<RModule>(*this);
   }
+  uint64_t rule_version() const override { return table_.rule_ops(); }
   ConfigTable<RConfig>& table() { return table_; }
   void set_sink(ReportSink* sink) { sink_ = sink; }
   ReportSink* sink() const { return sink_; }
   uint32_t switch_id() const { return switch_id_; }
+
+ protected:
+  void copy_rules_from(const TableProgram& src) override;
 
  private:
   void act(Phv& phv, uint16_t qid, const RConfig& cfg, RAction a);
@@ -141,6 +157,7 @@ class InitModule : public TableProgram {
   std::shared_ptr<TableProgram> clone() const override {
     return std::make_shared<InitModule>(*this);
   }
+  uint64_t rule_version() const override { return table_.rule_ops(); }
   TernaryTable<Action>& table() { return table_; }
   const TernaryTable<Action>& table() const { return table_; }
 
@@ -150,6 +167,9 @@ class InitModule : public TableProgram {
   // Build the 7-word ternary key
   // [sip, dip, sport, dport, proto, flags, at_ingress].
   static Key key_of(const Packet& p, bool at_ingress);
+
+ protected:
+  void copy_rules_from(const TableProgram& src) override;
 
  private:
   std::string name_;

@@ -1,5 +1,6 @@
 #include "dataplane/pipeline.h"
 
+#include <stdexcept>
 #include <string>
 
 #include "telemetry/telemetry.h"
@@ -62,6 +63,23 @@ Pipeline Pipeline::clone() const {
   for (std::size_t i = 0; i < stages_.size(); ++i)
     c.stages_[i] = stages_[i].clone();
   return c;
+}
+
+std::size_t Pipeline::refresh_rules_from(const Pipeline& src) {
+  if (src.stages_.size() != stages_.size())
+    throw std::logic_error("Pipeline::refresh_rules_from: stage count differs");
+  std::size_t refreshed = 0;
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    const auto& mine = stages_[i].tables();
+    const auto& theirs = src.stages_[i].tables();
+    if (mine.size() != theirs.size())
+      throw std::logic_error(
+          "Pipeline::refresh_rules_from: table layout differs at stage " +
+          std::to_string(i));
+    for (std::size_t j = 0; j < mine.size(); ++j)
+      refreshed += mine[j]->refresh_rules_from(*theirs[j]) ? 1 : 0;
+  }
+  return refreshed;
 }
 
 }  // namespace newton

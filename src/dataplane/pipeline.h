@@ -98,6 +98,14 @@ class Pipeline {
   // with no unpublished telemetry of its own.
   Pipeline clone() const;
 
+  // Refresh a clone() of `src` in place: every table whose rule version
+  // differs from its counterpart in `src` copies that counterpart's rules
+  // (TableProgram::refresh_rules_from).  Table objects, register banks,
+  // report sinks and telemetry stay, so the cost is the changed tables
+  // only.  Returns how many tables were refreshed.  Throws
+  // std::logic_error if the stage/table layout differs from src's.
+  std::size_t refresh_rules_from(const Pipeline& src);
+
  private:
   std::vector<Stage> stages_;
   uint64_t packets_seen_ = 0;       // plain: one executing thread at a time

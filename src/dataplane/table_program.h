@@ -42,6 +42,23 @@ class TableProgram {
   // runtime replicate a pipeline per worker (src/runtime/).
   virtual std::shared_ptr<TableProgram> clone() const = 0;
 
+  // Version of this table's rules: advances on every rule insert/remove
+  // (the match tables' rule_ops()).  A clone reports its original's version
+  // until one of the two changes its rules; tables without rules stay at 0.
+  virtual uint64_t rule_version() const { return 0; }
+
+  // Bring a clone up to date with `src`, the table it was cloned from:
+  // when the rule versions differ, copy src's rules into this table and
+  // return true.  Register state, environment pointers (report sinks) and
+  // hit counters stay as they are, so a replica refreshed in place keeps
+  // its banks, its private sink and every hits_cell() address.  Throws
+  // std::logic_error if `src` is a different kind of table.
+  bool refresh_rules_from(const TableProgram& src) {
+    if (rule_version() == src.rule_version()) return false;
+    copy_rules_from(src);
+    return true;
+  }
+
   // Fold rule-hit counts accumulated since the last publish into the global
   // telemetry registry (cold path: window barriers and explicit flushes).
   // The hot path only bumps `hits_`, a plain field — a table instance is
@@ -59,6 +76,10 @@ class TableProgram {
   uint64_t* hits_cell() { return &hits_; }
 
  protected:
+  // refresh_rules_from's copy step: replace this table's rules (only) with
+  // src's.  Tables without rules have nothing to copy.
+  virtual void copy_rules_from(const TableProgram&) {}
+
   uint64_t hits_ = 0;            // rule lookups that matched, this instance
   uint64_t hits_published_ = 0;  // high-water mark of published hits
 };

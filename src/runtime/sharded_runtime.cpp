@@ -4,6 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 namespace newton {
 
@@ -91,8 +92,9 @@ void ShardedRuntime::bind_telemetry() {
                                   "Reports drained to the attached sinks");
   metrics_.merge_us = &reg.histogram(
       "newton_runtime_window_merge_duration_us",
-      "Wall time of one window barrier: drain reports, merge per-worker "
-      "banks, apply mutations, reload replicas",
+      "Wall time of one window barrier: drain reports, merge each "
+      "allocated register slice and zero it in the replicas, apply "
+      "mutations, copy changed rule tables into the replicas",
       {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000});
   metrics_.failovers =
       &reg.counter("newton_runtime_worker_failovers_total",
@@ -223,12 +225,12 @@ void ShardedRuntime::withdraw(const std::string& name) {
 
 void ShardedRuntime::start() {
   if (started_) return;
+  // The one whole-bank reset: from here on barriers zero only the slices
+  // they merge or free, and the first replica load clones zeroed banks.
+  primary_.reset_state();
   reload_replicas();
   if (jit_stale_) relower_replicas();
-  for (auto& w : workers_) {
-    w->reset_banks();
-    w->start();
-  }
+  for (auto& w : workers_) w->start();
   started_ = true;
 }
 
@@ -452,14 +454,15 @@ void ShardedRuntime::barrier() {
     if (alive_[i]) workers_[i]->publish_telemetry();
   const auto merge_t0 = std::chrono::steady_clock::now();
   const bool mutating = !pending_.empty();
-  drain_and_merge();
+  const auto merged = drain_and_merge();
   apply_mutations();
   // A barrier that mutated reloads with lowering deferred; the next quiet
   // one lowers, so a storm of back-to-back updates costs one rebuild.
-  if (replicas_dirty_) reload_replicas();
+  if (replicas_dirty_) {
+    clear_freed_slices(merged);
+    reload_replicas();
+  }
   if (jit_stale_ && !mutating) relower_replicas();
-  for (std::size_t i = 0; i < workers_.size(); ++i)
-    if (alive_[i]) workers_[i]->reset_banks();
   metrics_.merge_us->observe(
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - merge_t0)
@@ -478,7 +481,7 @@ void ShardedRuntime::deliver(const ReportRecord& r) {
   ++stats_.reports;
 }
 
-void ShardedRuntime::drain_and_merge() {
+std::vector<NewtonSwitch::StateSegment> ShardedRuntime::drain_and_merge() {
   WindowSnapshot snap;
   snap.window = cur_epoch_;
 
@@ -495,18 +498,24 @@ void ShardedRuntime::drain_and_merge() {
   // Fold the per-worker banks into the primary switch's banks, slice by
   // allocated slice, so the merged end-of-window state is introspectable on
   // the primary exactly as if it had executed the whole window itself.
-  primary_.reset_state();
-  const auto segs = primary_.state_segments();
+  // Each slice is zeroed on the primary before its merge and in each
+  // replica right after it, so the next window starts from 0 while the
+  // barrier touches allocated registers only: every register outside a
+  // slice already reads 0 (clear_freed_slices keeps it that way).
+  auto segs = primary_.state_segments();
   for (const auto& seg : segs) {
     const MergeOp op = merge_op_for(seg.op);
+    RegisterArray& merged = primary_.bank(seg.stage);
+    merged.clear_range(seg.offset, seg.width);
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       if (!alive_[i] || !workers_[i]->has_bank(seg.stage)) continue;
-      primary_.bank(seg.stage).merge_range_from(workers_[i]->bank(seg.stage),
-                                                seg.offset, seg.width, op);
+      RegisterArray& replica = workers_[i]->bank(seg.stage);
+      merged.merge_range_from(replica, seg.offset, seg.width, op);
+      replica.clear_range(seg.offset, seg.width);
     }
   }
 
-  if (!opts_.record_snapshots) return;
+  if (!opts_.record_snapshots) return segs;
 
   {
     // Per-branch result snapshot: the branch's slices in (stage, offset)
@@ -534,6 +543,24 @@ void ShardedRuntime::drain_and_merge() {
     }
   }
   snapshots_.push_back(std::move(snap));
+  return segs;
+}
+
+void ShardedRuntime::clear_freed_slices(
+    const std::vector<NewtonSwitch::StateSegment>& merged) {
+  // Withdrawals and compaction moves free slices that still hold their
+  // last merged window on the primary (the replicas' copies were zeroed
+  // right after the merge).  A freed range re-allocated in the same batch
+  // was swept by its install, so zeroing it again is harmless.
+  using Range = std::tuple<std::size_t, std::size_t, std::size_t>;
+  std::vector<Range> live;
+  for (const auto& seg : primary_.state_segments())
+    live.emplace_back(seg.stage, seg.offset, seg.width);
+  std::sort(live.begin(), live.end());
+  for (const auto& seg : merged)
+    if (!std::binary_search(live.begin(), live.end(),
+                            Range{seg.stage, seg.offset, seg.width}))
+      primary_.bank(seg.stage).clear_range(seg.offset, seg.width);
 }
 
 void ShardedRuntime::apply_mutations() {

@@ -1,9 +1,10 @@
 // Sharded parallel execution runtime.
 //
 // Partitions a time-sorted packet stream across N worker threads — each
-// owning a private deep clone of the primary switch's pipeline (tables +
-// register banks) — by a configurable flow-key hash, while preserving exact
-// single-threaded query semantics (docs/runtime.md):
+// owning a private replica of the primary switch's pipeline (tables +
+// register banks), cloned once and refreshed in place on rule updates — by
+// a configurable flow-key hash, while preserving exact single-threaded
+// query semantics (docs/runtime.md):
 //
 //   * demux thread:  shard = hash(flow key) % N, push into the worker's
 //     bounded SPSC ring (backpressure counted, never dropped);
@@ -11,8 +12,9 @@
 //     demux fences every worker, merges the per-worker state banks
 //     (count-min rows by element-wise add, bloom rows by or) back into the
 //     primary switch's banks, drains the per-worker report buffers into the
-//     attached Analyzer/sink, snapshots per-query results, zeroes replica
-//     state, and only then releases the next window's packets;
+//     attached Analyzer/sink, snapshots per-query results, zeroes the
+//     merged register slices in the replicas, and only then releases the
+//     next window's packets;
 //   * rule install/withdraw mid-stream (the paper's core claim) rides the
 //     same barrier: mutations queue and apply atomically while all workers
 //     are quiesced, through the ordinary Controller; direct Controller
@@ -173,14 +175,32 @@ class ShardedRuntime {
   // deadline) at exactly this point in its item stream.
   void kill_shard_for_test(std::size_t i);
   void stall_shard_for_test(std::size_t i);
+  // Inspection seam: shard `i`'s replica register bank for `stage`.  Read
+  // it only while the workers are quiesced — after finish(), or between a
+  // barrier and the next ring push (process() stages up to a burst of
+  // packets per shard before pushing).
+  const RegisterArray& replica_bank_for_test(std::size_t i,
+                                             std::size_t stage) {
+    return workers_.at(i)->bank(stage);
+  }
 
  private:
   void barrier();           // fence all workers, merge, drain, mutate, reset
-  void drain_and_merge();   // reports -> sinks, banks -> primary, snapshot
+  // Reports -> sinks, allocated bank slices -> primary (each slice zeroed
+  // in the replicas after its merge), snapshot.  Returns the slices merged.
+  std::vector<NewtonSwitch::StateSegment> drain_and_merge();
   void apply_mutations();   // queued installs/withdrawals, under quiesce
-  // Re-clone the primary pipeline into every worker.  Chain lowering is
-  // deferred (workers fall back to the interpreter) so back-to-back
-  // reloads coalesce into one relower_replicas() later.
+  // Zero, on the primary, every slice of `merged` that the mutations just
+  // applied freed (withdrawals, compaction moves): at barrier exit every
+  // register outside an allocated slice reads 0, on the primary and in
+  // every live replica.
+  void clear_freed_slices(
+      const std::vector<NewtonSwitch::StateSegment>& merged);
+  // Bring every live worker's replica up to date with the primary: a
+  // deep clone at start(), an in-place copy of the changed rule tables
+  // after that (ShardWorker::load_replica).  Chain lowering is deferred
+  // (workers fall back to the interpreter) so back-to-back reloads
+  // coalesce into one relower_replicas() later.
   void reload_replicas();
   // Lower the current replicas' chains in every worker: at start(), and at
   // the first mutation-free barrier after a reload.

@@ -41,6 +41,20 @@ ShardWorker::~ShardWorker() {
 }
 
 void ShardWorker::load_replica(const Pipeline& pipe, const InitModule& init) {
+  // The compiled executors capture config pointers out of the rule tables
+  // refreshed below; the replica interprets — byte-identically — until the
+  // runtime calls relower_chains(), which under churn waits for the first
+  // mutation-free barrier so one rebuild covers a whole batch of updates.
+  jit_.clear();
+  if (init_) {
+    // Every later load refreshes in place: the module objects, register
+    // banks, report-sink bindings and hit counters stay, and only the rule
+    // tables whose version moved since the last load are copied.  A rule
+    // update therefore costs the tables it touched, not a pipeline clone.
+    pipeline_.refresh_rules_from(pipe);
+    init_->refresh_rules_from(init);
+    return;
+  }
   pipeline_ = pipe.clone();
   auto cloned = std::dynamic_pointer_cast<InitModule>(init.clone());
   if (!cloned)
@@ -49,25 +63,17 @@ void ShardWorker::load_replica(const Pipeline& pipe, const InitModule& init) {
   init_ = std::move(cloned);
 
   s_by_stage_.assign(pipeline_.num_stages(), nullptr);
-  r_mods_.clear();
   for (std::size_t i = 0; i < pipeline_.num_stages(); ++i) {
     for (const auto& t : pipeline_.stage(i).tables()) {
       if (auto* s = dynamic_cast<SModule*>(t.get())) s_by_stage_[i] = s;
-      if (auto* r = dynamic_cast<RModule*>(t.get())) {
-        r->set_sink(&reports_);
-        r_mods_.push_back(r);
-      }
+      if (auto* r = dynamic_cast<RModule*>(t.get())) r->set_sink(&reports_);
     }
   }
-  // The replica interprets — byte-identically — until the runtime calls
-  // relower_chains(), which under churn waits for the first mutation-free
-  // barrier so one rebuild covers a whole batch of updates.
-  jit_.clear();
 }
 
 void ShardWorker::relower_chains() {
-  // Runs after load_replica's sink rebinding: the compiled R ops capture
-  // the sink pointers as constants.
+  // Runs after the first load_replica's sink binding: the compiled R ops
+  // capture the sink pointers as constants.
   jit_.build(pipeline_, burst_, exec_opts_);
 }
 
@@ -119,11 +125,6 @@ RegisterArray& ShardWorker::bank(std::size_t stage) {
 
 bool ShardWorker::has_bank(std::size_t stage) const {
   return stage < s_by_stage_.size() && s_by_stage_[stage] != nullptr;
-}
-
-void ShardWorker::reset_banks() {
-  for (SModule* s : s_by_stage_)
-    if (s) s->registers().reset();
 }
 
 void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {

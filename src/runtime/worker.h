@@ -1,14 +1,16 @@
-// One shard worker of the sharded runtime: a thread owning a private deep
-// clone of the primary switch's newton_init table and pipeline (tables +
-// register banks) plus a private report buffer.
+// One shard worker of the sharded runtime: a thread owning a private
+// replica of the primary switch's newton_init table and pipeline (tables +
+// register banks) — a deep clone at the first load, refreshed in place
+// after that — plus a private report buffer.
 //
 // Ownership / synchronization contract:
 //   * Only the worker thread touches the replica while packets are in
 //     flight.
-//   * The demux thread may read or rebuild the replica (merge banks, drain
-//     reports, reload after a rule update) ONLY between observing a fence
-//     acknowledgement and pushing the next queue item; the ring's
-//     release/acquire pairs order those accesses (see spsc_ring.h).
+//   * The demux thread may read or update the replica (merge and clear
+//     banks, drain reports, refresh rules after an update) ONLY between
+//     observing a fence acknowledgement and pushing the next queue item;
+//     the ring's release/acquire pairs order those accesses (see
+//     spsc_ring.h).
 #pragma once
 
 #include <atomic>
@@ -66,13 +68,16 @@ class ShardWorker {
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  // Replace the replica with a fresh deep clone of `pipe` + `init` and
-  // bind the cloned R modules to this worker's private report buffer.  The
-  // compiled executors are dropped (a stale CompiledPipeline must NEVER
-  // survive a reload: its ops hold pointers into the replaced replica's
-  // modules), so the replica runs the interpreter until relower_chains().
-  // Demux thread only; worker must be quiesced (not yet started, or
-  // fenced).
+  // Bring the replica up to date with `pipe` + `init`.  The first load
+  // deep-clones them and binds the cloned R modules to this worker's
+  // private report buffer; every later load refreshes in place, copying
+  // only the rule tables whose version changed (Pipeline::
+  // refresh_rules_from) and keeping the modules, register banks, sink
+  // bindings and hit counters.  The compiled executors are dropped on
+  // every load (a stale CompiledPipeline must NEVER survive one: its ops
+  // hold pointers into the refreshed rule tables), so the replica runs the
+  // interpreter until relower_chains().  Demux thread only; worker must be
+  // quiesced (not yet started, or fenced).
   void load_replica(const Pipeline& pipe, const InitModule& init);
 
   // Lower the current replica's chains into compiled executors (a no-op
@@ -120,7 +125,6 @@ class ShardWorker {
   ReportBuffer& reports() { return reports_; }
   RegisterArray& bank(std::size_t stage);
   bool has_bank(std::size_t stage) const;
-  void reset_banks();  // zero every replica register bank (window rollover)
   // Fold the replica's packet/stage/rule-hit deltas into the global
   // registry (the runtime calls this at every window barrier).
   void publish_telemetry() {
@@ -144,7 +148,6 @@ class ShardWorker {
   compile::ExecOptions exec_opts_;
   std::shared_ptr<InitModule> init_;
   std::vector<SModule*> s_by_stage_;  // typed views into the replica
-  std::vector<RModule*> r_mods_;
   // Reusable drain/execute buffers, sized to burst_ once at start: the
   // steady-state loop allocates nothing (docs/runtime.md "Hot path").
   std::vector<WorkItem> batch_;

@@ -213,4 +213,22 @@ const Sample* Snapshot::find(const std::string& name,
   return nullptr;
 }
 
+double quantile(const Sample& s, double q) {
+  if (s.kind != MetricKind::Histogram || s.count == 0 || s.bounds.empty())
+    return 0;
+  const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(s.count);
+  uint64_t below = 0;
+  for (std::size_t b = 0; b < s.bounds.size(); ++b) {
+    const uint64_t in = b < s.buckets.size() ? s.buckets[b] : 0;
+    if (in > 0 && static_cast<double>(below + in) >= rank) {
+      const double lo = b == 0 ? 0.0 : s.bounds[b - 1];
+      const double frac =
+          (rank - static_cast<double>(below)) / static_cast<double>(in);
+      return lo + (s.bounds[b] - lo) * std::max(frac, 0.0);
+    }
+    below += in;
+  }
+  return s.bounds.back();  // the rank lies in the +Inf bucket
+}
+
 }  // namespace newton::telemetry

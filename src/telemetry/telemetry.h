@@ -155,6 +155,14 @@ struct Snapshot {
   const Sample* find(const std::string& name, const Labels& labels = {}) const;
 };
 
+// The q-quantile (0 <= q <= 1) of a histogram sample, estimated the way
+// Prometheus' histogram_quantile() does: find the bucket holding rank
+// q * count and interpolate linearly inside it (the first bucket starts at
+// 0; ranks in the +Inf bucket report the largest finite bound).  Returns 0
+// for an empty histogram or a non-histogram sample.  Benches use it so the
+// numbers they print are the ones a scrape of the live registry yields.
+double quantile(const Sample& s, double q);
+
 class Registry {
  public:
   Registry() = default;

@@ -6,9 +6,11 @@
 // wedged controller.  This suite runs under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analyzer/analyzer.h"
@@ -464,6 +466,279 @@ TEST(FailedPermanent, FlappingSwitchStormEndsTerminallyAndRollsBack) {
   const auto& d = ctl.deploy(make_q1(p), opts);
   EXPECT_GT(d.handles.size(), 0u);
   EXPECT_FALSE(ctl.any_degraded());
+}
+
+// ---------------------------------------------------------------------------
+// Window barriers: slice-scoped reset, in-place replica refresh
+// ---------------------------------------------------------------------------
+
+// Geometry of the compaction test above: 3072-register banks fill exactly
+// with twelve 256-wide rows, and withdrawing every other query leaves no
+// hole a 1024-wide row fits without compaction.
+constexpr std::size_t kBarrierStages = 6;
+constexpr std::size_t kBarrierBank = 3072;
+constexpr std::size_t kFragQueries = 12;
+constexpr uint64_t kBarrierWindowNs = 100'000'000;
+
+auto rec_key(const ReportRecord& r) {
+  return std::tuple(r.qid, r.ts_ns, r.oper_keys, r.hash_result,
+                    r.state_result, r.global_result, r.switch_id);
+}
+
+std::vector<ReportRecord> sorted_records(std::vector<ReportRecord> v) {
+  std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+    return rec_key(a) < rec_key(b);
+  });
+  return v;
+}
+
+// Mutations queued just before the first packet of window `window`, i.e.
+// applied by the barrier that closes window - 1.
+struct ChurnStep {
+  uint64_t window;
+  std::vector<std::string> withdraw;
+  std::vector<Query> install;
+};
+
+std::vector<ChurnStep> barrier_churn_script() {
+  std::vector<ChurnStep> steps(4);
+  // Withdraw every other base query (fragmenting the banks) beside an
+  // inadmissible install.
+  steps[0].window = 1;
+  for (std::size_t i = 0; i < kFragQueries; i += 2)
+    steps[0].withdraw.push_back("frag" + std::to_string(i));
+  steps[0].install.push_back(doomed_query("boom"));
+  // A plain mid-stream install into one of the holes.
+  steps[1].window = 2;
+  steps[1].install.push_back(port_query("mid", 20'000 + kFragQueries));
+  // Only fits after auto-compaction moves the surviving base queries.
+  steps[2].window = 3;
+  steps[2].install.push_back(
+      port_query("big", 20'000 + kFragQueries + 1, 1024));
+  // Withdraw a surviving base query and the mid-stream one.
+  steps[3].window = 4;
+  steps[3].withdraw = {"frag1", "mid"};
+  return steps;
+}
+
+Trace barrier_churn_trace() {
+  return port_trace(kFragQueries + 2, /*win=*/6, /*per_win=*/90);
+}
+
+// Per-branch contents of every allocated slice, ordered and attributed the
+// way ShardedRuntime's window snapshots are.
+std::vector<BranchSnapshot> branch_state(
+    NewtonSwitch& sw,
+    const std::map<uint16_t, std::pair<std::string, std::size_t>>& owner) {
+  auto segs = sw.state_segments();
+  std::sort(segs.begin(), segs.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.qid, a.stage, a.offset) <
+           std::tie(b.qid, b.stage, b.offset);
+  });
+  std::vector<BranchSnapshot> out;
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    if (i == 0 || segs[i].qid != segs[i - 1].qid) {
+      const auto it = owner.find(segs[i].qid);
+      out.push_back(it == owner.end()
+                        ? BranchSnapshot{"?", 0, {}}
+                        : BranchSnapshot{it->second.first, it->second.second,
+                                         {}});
+    }
+    for (std::size_t r = 0; r < segs[i].width; ++r)
+      out.back().state.push_back(
+          sw.bank(segs[i].stage).read(segs[i].offset + r));
+  }
+  return out;
+}
+
+// Registers of `bank` outside every slice of `stage` that hold a nonzero
+// value (`inside_too` counts the slices as well).
+std::size_t dirty_registers(const RegisterArray& bank, std::size_t stage,
+                            const std::vector<NewtonSwitch::StateSegment>& segs,
+                            bool inside_too) {
+  std::vector<char> allocated(bank.size(), 0);
+  if (!inside_too)
+    for (const auto& seg : segs)
+      if (seg.stage == stage)
+        for (std::size_t r = 0; r < seg.width; ++r)
+          allocated[seg.offset + r] = 1;
+  std::size_t n = 0;
+  for (std::size_t r = 0; r < bank.size(); ++r)
+    n += !allocated[r] && bank.read(r) != 0;
+  return n;
+}
+
+struct BarrierChurnRun {
+  std::vector<ReportRecord> reports;  // sorted
+  std::vector<std::vector<BranchSnapshot>> snapshots;  // per closed window
+  std::size_t barriers = 0;
+  std::size_t rejected = 0;
+  uint64_t compaction_moves = 0;
+};
+
+uint64_t compaction_moves_total() {
+  return telemetry::Registry::global()
+      .counter("newton_compaction_moves_total",
+               "Queries migrated by online layout compaction")
+      .value();
+}
+
+// The single-threaded reference: one NewtonSwitch executing every packet,
+// the same mutations applied through a Controller at the same boundaries.
+BarrierChurnRun run_barrier_churn_reference() {
+  telemetry::Registry::global().reset();
+  const Trace t = barrier_churn_trace();
+  const auto script = barrier_churn_script();
+  ReportBuffer buf;
+  NewtonSwitch sw(1, kBarrierStages, &buf, kBarrierBank);
+  Controller ctl(sw);
+  std::map<uint16_t, std::pair<std::string, std::size_t>> owner;
+  auto bind = [&](const std::string& name, const std::vector<uint16_t>& qids) {
+    for (auto it = owner.begin(); it != owner.end();)
+      it = it->second.first == name ? owner.erase(it) : std::next(it);
+    for (std::size_t bi = 0; bi < qids.size(); ++bi)
+      owner[qids[bi]] = {name, bi};
+  };
+  ctl.set_rebind_hook(bind);
+  for (std::size_t i = 0; i < kFragQueries; ++i) {
+    const std::string name = "frag" + std::to_string(i);
+    bind(name, ctl.install(port_query(name, static_cast<uint16_t>(20'000 + i)))
+                   .qids);
+  }
+  BarrierChurnRun out;
+  uint64_t epoch = 0;
+  for (const Packet& p : t.packets) {
+    const uint64_t e = p.ts_ns / kBarrierWindowNs;
+    if (e != epoch) {
+      out.snapshots.push_back(branch_state(sw, owner));
+      for (const ChurnStep& step : script) {
+        if (step.window != e) continue;
+        for (const std::string& name : step.withdraw) {
+          ctl.remove(name);
+          bind(name, {});
+        }
+        for (const Query& q : step.install) {
+          const auto r = ctl.try_install(q);
+          if (r.admitted())
+            bind(q.name, r.stats.qids);
+          else
+            ++out.rejected;
+        }
+      }
+      epoch = e;
+    }
+    sw.process(p);
+  }
+  out.snapshots.push_back(branch_state(sw, owner));
+  out.barriers = out.snapshots.size();
+  out.reports = sorted_records(buf.records());
+  out.compaction_moves = compaction_moves_total();
+  return out;
+}
+
+BarrierChurnRun run_barrier_churn(std::size_t shards, bool jit) {
+  telemetry::Registry::global().reset();
+  const Trace t = barrier_churn_trace();
+  const auto script = barrier_churn_script();
+  Analyzer an;
+  NewtonSwitch sw(1, kBarrierStages, &an, kBarrierBank);
+  RuntimeOptions ro;
+  ro.num_shards = shards;
+  ro.jit = jit;
+  ShardedRuntime rt(sw, ro, &an);
+  ReportBuffer buf;
+  rt.set_report_sink(&buf);
+  for (std::size_t i = 0; i < kFragQueries; ++i)
+    rt.install(port_query("frag" + std::to_string(i),
+                          static_cast<uint16_t>(20'000 + i)));
+  rt.start();
+
+  // Replica banks are looked at only while the workers are quiesced: right
+  // after a barrier the demux has staged, not pushed, the packet that
+  // closed the window (one packet is far below the burst size).
+  std::vector<std::vector<const RegisterArray*>> storage(shards);
+  for (std::size_t i = 0; i < shards; ++i)
+    for (std::size_t st = 0; st < kBarrierStages; ++st)
+      storage[i].push_back(&rt.replica_bank_for_test(i, st));
+
+  BarrierChurnRun out;
+  auto check_barrier_exit = [&] {
+    ++out.barriers;
+    SCOPED_TRACE("barrier " + std::to_string(out.barriers));
+    const auto segs = sw.state_segments();
+    for (std::size_t st = 0; st < kBarrierStages; ++st) {
+      // (a) Outside the allocated slices every register reads 0 on the
+      // primary, and every replica starts the next window from 0.
+      EXPECT_EQ(dirty_registers(sw.bank(st), st, segs, false), 0u)
+          << "primary stage " << st;
+      for (std::size_t i = 0; i < shards; ++i) {
+        const RegisterArray& bank = rt.replica_bank_for_test(i, st);
+        EXPECT_EQ(dirty_registers(bank, st, segs, true), 0u)
+            << "shard " << i << " stage " << st;
+        // (b) Rule updates refresh the replica in place: its banks are the
+        // ones loaded at start.
+        EXPECT_EQ(&bank, storage[i][st]) << "shard " << i << " stage " << st;
+      }
+    }
+  };
+
+  uint64_t epoch = 0;
+  uint64_t windows = 0;
+  for (const Packet& p : t.packets) {
+    const uint64_t e = p.ts_ns / kBarrierWindowNs;
+    if (e != epoch) {
+      for (const ChurnStep& step : script) {
+        if (step.window != e) continue;
+        for (const std::string& name : step.withdraw) rt.withdraw(name);
+        for (const Query& q : step.install) rt.install(q);
+      }
+      epoch = e;
+    }
+    rt.process(p);
+    if (rt.stats().windows != windows) {
+      windows = rt.stats().windows;
+      check_barrier_exit();
+    }
+  }
+  rt.finish();
+  check_barrier_exit();
+
+  out.reports = sorted_records(buf.records());
+  for (const WindowSnapshot& w : rt.snapshots())
+    out.snapshots.push_back(w.branches);
+  out.rejected = rt.stats().installs_rejected;
+  out.compaction_moves = compaction_moves_total();
+  return out;
+}
+
+TEST(BarrierRefresh, SliceResetAndInPlaceRefreshMatchReference) {
+  const BarrierChurnRun ref = run_barrier_churn_reference();
+  // The script exercises what it claims: one rejection, at least one
+  // compaction move, reports in every window.
+  ASSERT_EQ(ref.rejected, 1u);
+  ASSERT_GT(ref.compaction_moves, 0u);
+  ASSERT_EQ(ref.barriers, 6u);
+  ASSERT_FALSE(ref.reports.empty());
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    for (const bool jit : {true, false}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " jit=" + std::to_string(jit));
+      const BarrierChurnRun r = run_barrier_churn(shards, jit);
+      EXPECT_EQ(r.barriers, ref.barriers);
+      EXPECT_EQ(r.rejected, ref.rejected);
+      EXPECT_EQ(r.compaction_moves, ref.compaction_moves);
+      // (c) Byte-identical to the single-threaded switch (and so to each
+      // other, jit on and off).
+      ASSERT_EQ(r.reports.size(), ref.reports.size());
+      for (std::size_t i = 0; i < r.reports.size(); ++i)
+        EXPECT_EQ(rec_key(r.reports[i]), rec_key(ref.reports[i]))
+            << "report " << i;
+      ASSERT_EQ(r.snapshots.size(), ref.snapshots.size());
+      for (std::size_t w = 0; w < r.snapshots.size(); ++w)
+        EXPECT_EQ(r.snapshots[w], ref.snapshots[w]) << "window " << w;
+    }
+  }
 }
 
 }  // namespace

@@ -743,6 +743,75 @@ TEST(Watchdog, SuccessorSelectionSkipsAlreadyDeadWorker) {
     EXPECT_EQ(ref.an->detected(q.name), out.an->detected(q.name));
 }
 
+TEST(Watchdog, KillAfterInPlaceRefreshLosesNothing) {
+  // A mutating barrier refreshes every replica in place: changed rule
+  // tables are copied, register banks and report sinks are kept.  A worker
+  // killed in the very next window must fail over onto a successor that
+  // already runs the new rules, with its window-partial state and backlog
+  // intact — the report stream equals the fault-free run's.
+  const Trace t = shard_trace(500, 31);
+  QueryParams qp;
+  qp.sketch_width = 8192;
+  const Query q1 = make_q1(qp);
+  const Query udp = make_udp_count(100);  // flood starts at 450 ms
+
+  auto run = [&](bool kill) {
+    RunResult out;
+    out.an = std::make_unique<Analyzer>();
+    ReportBuffer buf;
+    NewtonSwitch sw(1, 24, nullptr);
+    RuntimeOptions o;
+    o.num_shards = 4;
+    o.shard_key = ShardKey::on({Field::DstIp});
+    o.record_snapshots = false;
+    ShardedRuntime rt(sw, o, out.an.get());
+    rt.set_report_sink(&buf);
+    rt.install(q1);
+    rt.install(make_syn_export());
+    rt.start();
+    bool queued = false, killed = false;
+    for (const Packet& p : t.packets) {
+      if (!queued && p.ts_ns >= 310'000'000ull) {
+        // Applied together at the 400 ms barrier.
+        rt.install(udp);
+        rt.withdraw("syn_export");
+        queued = true;
+      }
+      rt.process(p);
+      if (kill && !killed && rt.stats().rule_updates_applied > 0) {
+        rt.kill_shard_for_test(1);  // first packet after the refresh
+        killed = true;
+      }
+    }
+    rt.finish();
+    out.records = sorted(buf.records());
+    out.stats = rt.stats();
+    out.live_shards = rt.live_shards();
+    return out;
+  };
+
+  const RunResult clean = run(false);
+  const RunResult r = run(true);
+  EXPECT_EQ(clean.stats.rule_updates_applied, 2u);
+  EXPECT_EQ(r.stats.rule_updates_applied, 2u);
+  EXPECT_GT(clean.an->reports_for(udp.name), 0u);
+  EXPECT_EQ(r.stats.worker_failovers, 1u);
+  EXPECT_EQ(r.live_shards, 3u);
+  EXPECT_EQ(r.stats.abandoned_packets, 0u);
+  EXPECT_EQ(r.stats.packets_in, t.size());
+  // Every demuxed packet executed exactly once: the dead worker's count
+  // (frozen at failover) plus the survivors'.
+  uint64_t executed = 0;
+  for (const WorkerStats& w : r.stats.workers) executed += w.packets;
+  EXPECT_EQ(executed, t.size());
+  expect_same_records(clean.records, r.records);
+  for (const std::string& name :
+       {q1.name, udp.name, std::string("syn_export")}) {
+    EXPECT_EQ(clean.an->reports_for(name), r.an->reports_for(name)) << name;
+    EXPECT_EQ(clean.an->detected(name), r.an->detected(name)) << name;
+  }
+}
+
 TEST(Watchdog, StalledShardIsDetectedAndAbandoned) {
   const Trace t = shard_trace(300, 36);
   const std::vector<Query> queries = shard_queries();

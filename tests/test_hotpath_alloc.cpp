@@ -112,7 +112,10 @@ TEST(HotPathAlloc, SteadyStateBurstLoopAllocatesNothing) {
                   .map({Field::SrcIp, Field::DstIp})
                   .build());
 
-  // A worker replica, wired exactly as ShardWorker::load_replica does.
+  // A worker replica, wired as ShardWorker::load_replica's first load does
+  // (deep clone, R modules bound to a private sink).  Later loads refresh
+  // the same objects in place and never run while packets are in flight,
+  // so this replica is what the hot path executes against.
   Pipeline replica = sw.pipeline().clone();
   auto init = std::dynamic_pointer_cast<InitModule>(sw.init_table().clone());
   ASSERT_NE(init, nullptr);

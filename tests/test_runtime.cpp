@@ -156,6 +156,72 @@ TEST(PipelineClone, SharesNoMutableState) {
   }
 }
 
+TEST(PipelineClone, RefreshCopiesChangedRulesOnlyAndKeepsState) {
+  NewtonSwitch sw(1, 12, nullptr);
+  Controller ctl(sw);
+  ctl.install(make_q1(tuned_params()));
+  Pipeline replica = sw.pipeline().clone();
+  auto init = std::dynamic_pointer_cast<InitModule>(sw.init_table().clone());
+  ASSERT_NE(init, nullptr);
+  ReportBuffer sink;
+  std::vector<uint64_t*> cells;
+  for (std::size_t i = 0; i < replica.num_stages(); ++i)
+    for (const auto& t : replica.stage(i).tables()) {
+      if (auto* r = dynamic_cast<RModule*>(t.get())) r->set_sink(&sink);
+      cells.push_back(t->hits_cell());
+    }
+  auto bank_sum = [&] {
+    uint64_t sum = 0;
+    for (std::size_t i = 0; i < replica.num_stages(); ++i)
+      for (const auto& t : replica.stage(i).tables())
+        if (auto* s = dynamic_cast<SModule*>(t.get()))
+          for (std::size_t r = 0; r < s->registers().size(); ++r)
+            sum += s->registers().read(r);
+    return sum;
+  };
+  for (int i = 0; i < 10; ++i) {
+    Phv phv;
+    phv.pkt = make_packet(50 + i, 99, 1, 80, kProtoTcp, kTcpSyn, 64, 1000);
+    init->execute(phv);
+    replica.process(phv);
+  }
+  const uint64_t state = bank_sum();
+  ASSERT_GT(state, 0u);
+
+  // Nothing changed: nothing to copy.
+  EXPECT_EQ(replica.refresh_rules_from(sw.pipeline()), 0u);
+  EXPECT_FALSE(init->refresh_rules_from(sw.init_table()));
+
+  // A new query touches a few tables; only those are copied, and the
+  // replica then carries exactly the primary's rules.
+  ctl.install(make_udp_count(100));
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < replica.num_stages(); ++i)
+    for (std::size_t j = 0; j < replica.stage(i).tables().size(); ++j)
+      changed += replica.stage(i).tables()[j]->rule_version() !=
+                 sw.pipeline().stage(i).tables()[j]->rule_version();
+  ASSERT_GT(changed, 0u);
+  EXPECT_EQ(replica.refresh_rules_from(sw.pipeline()), changed);
+  EXPECT_TRUE(init->refresh_rules_from(sw.init_table()));
+  EXPECT_EQ(init->table().size(), sw.init_table().table().size());
+  EXPECT_EQ(replica.refresh_rules_from(sw.pipeline()), 0u);
+
+  // Banks, sinks and hit cells are the replica's own, untouched.
+  EXPECT_EQ(bank_sum(), state);
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < replica.num_stages(); ++i)
+    for (const auto& t : replica.stage(i).tables()) {
+      if (auto* r = dynamic_cast<RModule*>(t.get())) {
+        EXPECT_EQ(r->sink(), &sink);
+      }
+      EXPECT_EQ(t->hits_cell(), cells[c++]);
+    }
+
+  // A replica of a different layout cannot be refreshed from this one.
+  NewtonSwitch other(1, 6, nullptr);
+  EXPECT_THROW(replica.refresh_rules_from(other.pipeline()), std::logic_error);
+}
+
 // ---------------------------------------------------------------------------
 // Tentpole: shard-count equivalence
 // ---------------------------------------------------------------------------

@@ -75,6 +75,24 @@ TEST(Telemetry, HistogramBucketsAndSum) {
   EXPECT_EQ(h.count(), 4005u);
 }
 
+TEST(Telemetry, HistogramQuantileInterpolatesLikePrometheus) {
+  Registry reg;
+  telemetry::Histogram& h =
+      reg.histogram("latency_ms", "", {1.0, 10.0, 100.0});
+  reg.counter("events_total").add(3);
+  const auto empty = reg.snapshot();
+  EXPECT_EQ(telemetry::quantile(*empty.find("latency_ms"), 0.5), 0.0);
+  EXPECT_EQ(telemetry::quantile(*empty.find("events_total"), 0.5), 0.0);
+
+  for (double v : {0.5, 1.0, 5.0, 50.0, 500.0}) h.observe(v);  // 2,1,1,+1
+  const auto snap = reg.snapshot();
+  const telemetry::Sample& s = *snap.find("latency_ms");
+  EXPECT_DOUBLE_EQ(telemetry::quantile(s, 0.2), 0.5);  // rank 1 of (0, 1]
+  EXPECT_DOUBLE_EQ(telemetry::quantile(s, 0.5), 5.5);  // rank 2.5: (1, 10]
+  EXPECT_DOUBLE_EQ(telemetry::quantile(s, 0.8), 100.0);
+  EXPECT_DOUBLE_EQ(telemetry::quantile(s, 1.0), 100.0);  // +Inf bucket
+}
+
 TEST(Telemetry, PrometheusExposition) {
   Registry reg;
   reg.counter("b_total", "b help", {{"module", "K"}}).add(3);
