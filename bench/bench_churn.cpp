@@ -11,11 +11,13 @@
 //            install+withdraw churn pairs (plus periodic inadmissible
 //            installs that admission must bounce without residue) at
 //            every window barrier.  Reports sustained churn ops/min,
-//            concurrent query count, rejected installs, and how many JIT
-//            rebuilds the mutation storm coalesced into (lowering waits
-//            for the first mutation-free barrier), and the window-barrier
-//            wall time p50/p99 as the registry's
-//            newton_runtime_window_merge_duration_us histogram reports it.
+//            concurrent query count, rejected installs, JIT recompiles
+//            (one per replica reload: the workers re-lower before their
+//            next burst), and the window-barrier wall time p50/p99 as the
+//            registry's newton_runtime_window_merge_duration_us histogram
+//            reports it (bounds at 250, 500, 750, 1000, 1500, 2000, 2500,
+//            3500 and 5000 us: a 0.3-2 ms barrier lands in a bucket at most
+//            500 us wide).
 //   phase 2  install-latency SLO: on the still-loaded switch, run direct
 //            controller install+withdraw cycles and report the wall and
 //            modeled install-latency distribution (p50/p95/p99).

@@ -7,7 +7,7 @@
 //   newton_tool queries                                      list Q1-Q9
 //   newton_tool queries --installed [qN[@tenant] ...]        install through
 //     the runtime and print the operator view: tenant, per-stage resource
-//     usage and JIT coverage state per installed query
+//     usage and the runtime's execution mode (compiled / interp)
 //   newton_tool compile <q1..q9>                             show the schedule
 //   newton_tool run <q1..q9> <trace.{ntrc,csv,pcap}>         execute + report
 //   newton_tool p4 [stages]                                  emit the layout P4
@@ -40,7 +40,6 @@
 #include <cstring>
 #include <map>
 #include <random>
-#include <set>
 #include <string>
 
 #include "analyzer/analyzer.h"
@@ -146,9 +145,9 @@ int cmd_csv(int argc, char** argv) {
 // Bare `queries` lists the Q1-Q9 library.  `queries --installed [qN[@tenant]
 // ...]` installs the named queries (default: all nine) through the sharded
 // runtime and prints the operator view of the installed set: tenant, qids,
-// per-stage resource usage (core/admission.h demand vectors) and each
-// branch's JIT coverage state (compiled / interp) from the same
-// coverage the newton_jit_query_compiled gauge exports.
+// per-stage resource usage (core/admission.h demand vectors) and the
+// execution mode (compiled / interp): with RuntimeOptions::jit on, every
+// worker lowers every installed chain, so the mode is the runtime's.
 int cmd_queries(int argc, char** argv) {
   if (argc < 3) {
     for (std::size_t i = 1; i <= 9; ++i)
@@ -187,16 +186,8 @@ int cmd_queries(int argc, char** argv) {
                   tenant.c_str(), e.decision().to_string().c_str());
     }
   }
-  rt.start();  // clones replicas and lowers the installed chains
-
-  std::set<uint16_t> compiled;
-  for (const compile::QueryCoverage& c : rt.jit_coverage())
-    if (c.compiled) compiled.insert(c.qid);
-  const auto jit_state = [&](const std::vector<uint16_t>& qids) {
-    for (uint16_t qid : qids)
-      if (compiled.count(qid) != 0) return "compiled";
-    return "interp";
-  };
+  rt.start();  // clones the replicas; each worker lowers its own
+  const char* jit_state = rt.jit_enabled() ? "compiled" : "interp";
 
   std::printf("%-18s %-10s %-8s %-6s %-6s %-6s %s\n", "query", "tenant",
               "jit", "rules", "regs", "init", "qids");
@@ -208,7 +199,7 @@ int cmd_queries(int argc, char** argv) {
     }
     std::printf("%-18s %-10s %-8s %-6zu %-6zu %-6zu [%s]\n",
                 info.name.c_str(), info.tenant.c_str(),
-                jit_state(info.qids), info.demand->total_rules,
+                jit_state, info.demand->total_rules,
                 info.demand->total_registers, info.demand->init_entries,
                 qids.c_str());
     for (const auto& [stage, sd] : info.demand->stages)

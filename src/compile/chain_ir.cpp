@@ -1,6 +1,8 @@
 #include "compile/chain_ir.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "core/modules.h"
 #include "dataplane/phv.h"
@@ -85,11 +87,8 @@ Lowering lower(Pipeline& pipe) {
           chain_for(out.chains, qid).ops.push_back(op);
         });
       } else {
-        // A table type the lowerer doesn't model: the interpreter owns this
-        // pipeline outright.
-        out.ok = false;
-        out.chains.clear();
-        return out;
+        throw std::logic_error("compile::lower: stage " + std::to_string(si) +
+                               " holds a table the lowerer does not model");
       }
     }
   }

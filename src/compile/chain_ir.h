@@ -100,15 +100,12 @@ struct Chain {
 
 struct Lowering {
   std::vector<Chain> chains;
-  // False when the pipeline holds a table the lowerer doesn't model (no
-  // such table type exists today; defensive for future pipeline tenants) —
-  // the whole replica then stays on the interpreter.
-  bool ok = true;
 };
 
 // Lower every installed chain of `pipe`.  Call with the replica quiesced
 // and (for R ops) after report sinks were rebound: the lowered ops capture
-// the sink pointers as constants.
+// the sink pointers as constants.  Throws std::logic_error on a table type
+// the lowerer does not model (the layout places only K/H/S/R modules).
 Lowering lower(Pipeline& pipe);
 
 }  // namespace compile

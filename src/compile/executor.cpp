@@ -45,6 +45,10 @@ void index_phase_op(const ChainOp& op, const uint32_t* dig, uint32_t offset,
   }
 }
 
+// What a qid without module rules lowers to: no ops, as the interpreter's
+// tables find no rule for it.
+const Chain kEmptyChain{};
+
 bool stops(const ChainOp& op) {
   return op.on_match == RAction::Stop || op.on_match == RAction::ReportStop ||
          op.on_miss == RAction::Stop || op.on_miss == RAction::ReportStop;
@@ -206,9 +210,7 @@ void planned_s(const ChainOp& op, const uint32_t* idx, Phv* phvs,
 void CompiledPipeline::clear() {
   enabled_ = false;
   chains_.clear();
-  by_qid_.fill(nullptr);
-  compiled_.reset();
-  coverage_.clear();
+  by_qid_.fill(&kEmptyChain);
   merged_.clear();
 }
 
@@ -216,9 +218,7 @@ void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
                              const ExecOptions& opts) {
   clear();
   if (!opts.enabled) return;
-  Lowering l = lower(pipe);
-  if (!l.ok) return;
-  chains_ = std::move(l.chains);
+  chains_ = lower(pipe).chains;
   std::size_t total_ops = 0, total_h = 0, total_s = 0;
   for (const Chain& c : chains_) {
     for (const ChainOp& op : c.ops) {
@@ -226,9 +226,7 @@ void CompiledPipeline::build(Pipeline& pipe, std::size_t burst_capacity,
       total_s += op.kind == OpKind::SOp ? 1 : 0;
     }
     by_qid_[c.qid] = &c;
-    compiled_.set(c.qid);
     total_ops += c.ops.size();
-    coverage_.push_back({c.qid, true});
   }
   merged_.resize(total_ops);
   ann_.assign(total_ops, -1);

@@ -1,13 +1,14 @@
 // Compiled per-query executor over lowered chains (chain_ir.h).
 //
-// A worker builds one CompiledPipeline per replica load.  At run time the
-// worker partitions each burst into maximal runs of packets whose active
-// query sets are identical and fully compiled, and hands each run here.
-// The executor merges the k active chains' ops by interpreter visit order
-// (`order`) into a preallocated scratch and runs the merged sequence
-// op-major, one runtime switch per op.  Runs containing a query the
-// lowerer didn't cover stay on the interpreter (the worker routes those
-// to Pipeline::process_burst).
+// A worker builds one CompiledPipeline per replica load, on its own
+// thread, before the first burst it executes after that load.  At run time
+// the worker partitions each burst into maximal runs of packets whose
+// active query sets are identical, and hands each run here.  The executor
+// merges the k active chains' ops by interpreter visit order (`order`)
+// into a preallocated scratch and runs the merged sequence op-major, one
+// runtime switch per op.  Every installed query is covered: a qid without
+// module rules runs an empty chain, exactly as the interpreter's tables
+// find no rule for it.
 //
 // A run of kGenericPlanMinRun packets or more executes as a THREE-PHASE
 // burst schedule, planned per run over the merged ops (plan_generic):
@@ -33,7 +34,7 @@
 // rules and the equivalence argument.
 #pragma once
 
-#include <bitset>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -70,12 +71,6 @@ struct ExecStats {
   uint64_t prefetch_issued = 0;  // state-bank prefetch hints issued
 };
 
-// Per-query outcome of a build, for the runtime's coverage gauge.
-struct QueryCoverage {
-  uint16_t qid = 0;
-  bool compiled = false;  // chain lowered onto the compiled executor
-};
-
 class CompiledPipeline {
  public:
   // Lower every installed chain of `pipe` (after report sinks are rebound)
@@ -89,16 +84,14 @@ class CompiledPipeline {
 
   bool enabled() const { return enabled_; }
 
-  // Every query this packet activates has a compiled chain.
-  bool covers(const Phv& phv) const {
-    return enabled_ && (phv.active & ~compiled_).none();
-  }
+  // The executor can take this packet: true for every packet once built
+  // (qids without module rules run the empty chain).
+  bool covers(const Phv&) const { return enabled_; }
 
   // Execute a run of packets with identical active sets (the first packet's
   // set stands for all).  Requires covers(phvs[0]).
   void execute_run(Phv* phvs, std::size_t n);
 
-  const std::vector<QueryCoverage>& coverage() const { return coverage_; }
   // Cumulative across rebuilds (see ExecStats).
   const ExecStats& stats() const { return stats_; }
 
@@ -114,9 +107,8 @@ class CompiledPipeline {
 
   bool enabled_ = false;
   std::vector<Chain> chains_;
+  // qid -> its chain; qids without module rules map to an empty chain.
   std::array<const Chain*, kMaxQueries> by_qid_{};
-  std::bitset<kMaxQueries> compiled_;
-  std::vector<QueryCoverage> coverage_;
   // Merge scratch: sized at build to the total op count, so merging never
   // allocates on the packet path.
   std::vector<const ChainOp*> merged_;

@@ -95,7 +95,8 @@ void ShardedRuntime::bind_telemetry() {
       "Wall time of one window barrier: drain reports, merge each "
       "allocated register slice and zero it in the replicas, apply "
       "mutations, copy changed rule tables into the replicas",
-      {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000});
+      {50, 100, 250, 500, 750, 1000, 1500, 2000, 2500, 3500, 5000, 10000,
+       25000, 100000});
   metrics_.failovers =
       &reg.counter("newton_runtime_worker_failovers_total",
                    "Shard workers declared dead/hung and failed over");
@@ -128,8 +129,9 @@ void ShardedRuntime::bind_telemetry() {
                    "window barrier (side-effect-free)");
   metrics_.jit_recompiles =
       &reg.counter("newton_jit_recompiles_total",
-                   "Chain-JIT rebuild events (back-to-back rule updates "
-                   "coalesce into one rebuild at the next quiet barrier)");
+                   "Replica reloads whose chains the workers re-lower "
+                   "(one per reload with jit on: start() and every barrier "
+                   "that changed rules)");
   metrics_.shard_packets.resize(workers_.size());
   metrics_.shard_occupancy.resize(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -229,7 +231,6 @@ void ShardedRuntime::start() {
   // they merge or free, and the first replica load clones zeroed banks.
   primary_.reset_state();
   reload_replicas();
-  if (jit_stale_) relower_replicas();
   for (auto& w : workers_) w->start();
   started_ = true;
 }
@@ -453,16 +454,12 @@ void ShardedRuntime::barrier() {
   for (std::size_t i = 0; i < workers_.size(); ++i)
     if (alive_[i]) workers_[i]->publish_telemetry();
   const auto merge_t0 = std::chrono::steady_clock::now();
-  const bool mutating = !pending_.empty();
   const auto merged = drain_and_merge();
   apply_mutations();
-  // A barrier that mutated reloads with lowering deferred; the next quiet
-  // one lowers, so a storm of back-to-back updates costs one rebuild.
   if (replicas_dirty_) {
     clear_freed_slices(merged);
     reload_replicas();
   }
-  if (jit_stale_ && !mutating) relower_replicas();
   metrics_.merge_us->observe(
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - merge_t0)
@@ -608,39 +605,7 @@ void ShardedRuntime::reload_replicas() {
     if (alive_[i])
       workers_[i]->load_replica(primary_.pipeline(), primary_.init_table());
   replicas_dirty_ = false;
-  jit_stale_ = opts_.jit;
-}
-
-void ShardedRuntime::relower_replicas() {
-  for (std::size_t i = 0; i < workers_.size(); ++i)
-    if (alive_[i]) workers_[i]->relower_chains();
-  ++stats_.jit_recompiles;
-  jit_stale_ = false;
-  publish_jit_coverage();
-}
-
-std::vector<compile::QueryCoverage> ShardedRuntime::jit_coverage() const {
-  for (std::size_t i = 0; i < workers_.size(); ++i)
-    if (alive_[i]) return workers_[i]->jit().coverage();
-  return {};
-}
-
-void ShardedRuntime::publish_jit_coverage() {
-  if (!opts_.jit) return;
-  telemetry::Registry& reg =
-      opts_.registry ? *opts_.registry : telemetry::Registry::global();
-  for (const compile::QueryCoverage& c : jit_coverage()) {
-    const auto it = qid_owner_.find(c.qid);
-    const telemetry::Labels labels{
-        {"query", it == qid_owner_.end() ? "?" : it->second.first},
-        {"branch",
-         std::to_string(it == qid_owner_.end() ? 0 : it->second.second)}};
-    reg.gauge("newton_jit_query_compiled",
-              "1 = the query branch's chain runs the compiled executor, "
-              "0 = interpreter fallback",
-              labels)
-        .set(c.compiled ? 1 : 0);
-  }
+  if (opts_.jit) ++stats_.jit_recompiles;  // the workers lower it
 }
 
 }  // namespace newton

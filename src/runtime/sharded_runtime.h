@@ -68,10 +68,9 @@ struct RuntimeOptions {
   // detected via a closed ring).
   uint64_t watchdog_stall_ms = 2000;
   // Lower installed chains into compiled per-query executors in every
-  // worker (src/compile/, docs/compile.md); the interpreter remains the
-  // fallback for uncovered shapes.  Under churn a barrier that applies rule
-  // mutations reloads the replicas with lowering deferred, and the next
-  // mutation-free barrier lowers once for the whole batch (docs/admission.md).
+  // worker (src/compile/, docs/compile.md).  Each worker lowers its own
+  // replica on its own thread before the first burst after every load, so
+  // every packet runs compiled; false runs the interpreter throughout.
   bool jit = true;
 };
 
@@ -88,7 +87,7 @@ struct RuntimeStats {
   uint64_t redistributed_packets = 0; // ring backlog moved to a successor
   uint64_t abandoned_packets = 0;     // backlog lost with a hung worker
   uint64_t installs_rejected = 0;     // queued installs admission rejected
-  uint64_t jit_recompiles = 0;        // chain-JIT rebuild events (coalesced)
+  uint64_t jit_recompiles = 0;        // replica reloads lowered (jit on)
   std::size_t live_shards = 0;        // workers still processing
   std::vector<WorkerStats> workers;   // per shard, refreshed at barriers
 };
@@ -164,10 +163,6 @@ class ShardedRuntime {
 
   // Whether chain compilation is on for this runtime (RuntimeOptions::jit).
   bool jit_enabled() const { return opts_.jit; }
-  // Per-query compiled/interpreted coverage of the current replicas, read
-  // from the first live worker (all workers load identical replicas).
-  // Valid between start()/barriers; empty when jit is off.
-  std::vector<compile::QueryCoverage> jit_coverage() const;
 
   // Fault-injection seams: make shard `i` crash (close its ring and exit
   // without acking — detected at the demux's next push to it) or hang
@@ -198,16 +193,9 @@ class ShardedRuntime {
       const std::vector<NewtonSwitch::StateSegment>& merged);
   // Bring every live worker's replica up to date with the primary: a
   // deep clone at start(), an in-place copy of the changed rule tables
-  // after that (ShardWorker::load_replica).  Chain lowering is deferred
-  // (workers fall back to the interpreter) so back-to-back reloads
-  // coalesce into one relower_replicas() later.
+  // after that (ShardWorker::load_replica).  Each worker lowers the
+  // reloaded replica itself, before its next burst.
   void reload_replicas();
-  // Lower the current replicas' chains in every worker: at start(), and at
-  // the first mutation-free barrier after a reload.
-  void relower_replicas();
-  // Mirror per-query compiled/interpreted coverage into the registry's
-  // newton_jit_query_compiled gauge (cold path: after replica reloads).
-  void publish_jit_coverage();
   void deliver(const ReportRecord& r);
   void bind_telemetry();    // resolve metric handles against the registry
   void flush_telemetry();   // mirror counters batched at each barrier
@@ -293,8 +281,6 @@ class ShardedRuntime {
   bool started_ = false;
   bool at_barrier_ = false;   // quiesce guard: controller mutation allowed
   bool replicas_dirty_ = true;
-  // Replicas were reloaded with lowering deferred (workers interpret).
-  bool jit_stale_ = false;
 };
 
 }  // namespace newton

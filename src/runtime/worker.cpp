@@ -41,11 +41,10 @@ ShardWorker::~ShardWorker() {
 }
 
 void ShardWorker::load_replica(const Pipeline& pipe, const InitModule& init) {
-  // The compiled executors capture config pointers out of the rule tables
-  // refreshed below; the replica interprets — byte-identically — until the
-  // runtime calls relower_chains(), which under churn waits for the first
-  // mutation-free barrier so one rebuild covers a whole batch of updates.
+  // The compiled executors fold in the rules refreshed below; the worker
+  // thread lowers the new ones before its next burst.
   jit_.clear();
+  lower_pending_ = exec_opts_.enabled;
   if (init_) {
     // Every later load refreshes in place: the module objects, register
     // banks, report-sink bindings and hit counters stay, and only the rule
@@ -69,12 +68,6 @@ void ShardWorker::load_replica(const Pipeline& pipe, const InitModule& init) {
       if (auto* r = dynamic_cast<RModule*>(t.get())) r->set_sink(&reports_);
     }
   }
-}
-
-void ShardWorker::relower_chains() {
-  // Runs after the first load_replica's sink binding: the compiled R ops
-  // capture the sink pointers as constants.
-  jit_.build(pipeline_, burst_, exec_opts_);
 }
 
 void ShardWorker::sync_jit_stats() {
@@ -139,34 +132,31 @@ void ShardWorker::process_batch(const WorkItem* items, std::size_t n) {
     phv.pkt = items[i].pkt;
   }
   init_->execute_burst(phvs_.data(), n);
+  stats_.packets += n;
+  if (lower_pending_) {
+    // First burst since the last load: lower the refreshed rules here, on
+    // this thread.  The first load bound the R sinks before this runs (the
+    // compiled R ops capture the sink pointers as constants).
+    jit_.build(pipeline_, burst_, exec_opts_);
+    lower_pending_ = false;
+  }
   if (!jit_.enabled()) {
     pipeline_.process_burst(phvs_.data(), n);
-    stats_.packets += n;
     return;
   }
-  // Partition the burst into maximal runs the compiled executors can take
-  // whole — every active query compiled AND the same active set across the
-  // run (the merged op program is computed once per run) — and hand the
-  // rest to the interpreter.  Run boundaries preserve burst order, so
-  // per-register op order (hence all results) stays byte-identical to a
-  // pure interpreter burst.
+  // Partition the burst into maximal runs with the same active set (the
+  // merged op program is computed once per run).  Run boundaries preserve
+  // burst order, so per-register op order (hence all results) stays
+  // byte-identical to a pure interpreter burst.
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i + 1;
-    if (jit_.covers(phvs_[i])) {
-      while (j < n && jit_.covers(phvs_[j]) &&
-             phvs_[j].active == phvs_[i].active)
-        ++j;
-      jit_.execute_run(phvs_.data() + i, j - i);
-      pipeline_.note_compiled_packets(j - i);
-      stats_.jit_packets += j - i;
-    } else {
-      while (j < n && !jit_.covers(phvs_[j])) ++j;
-      pipeline_.process_burst(phvs_.data() + i, j - i);
-    }
+    while (j < n && phvs_[j].active == phvs_[i].active) ++j;
+    jit_.execute_run(phvs_.data() + i, j - i);
     i = j;
   }
-  stats_.packets += n;
+  pipeline_.note_compiled_packets(n);
+  stats_.jit_packets += n;
 }
 
 void ShardWorker::run() {

@@ -1,11 +1,12 @@
 // One shard worker of the sharded runtime: a thread owning a private
 // replica of the primary switch's newton_init table and pipeline (tables +
 // register banks) — a deep clone at the first load, refreshed in place
-// after that — plus a private report buffer.
+// after that — its compiled chain executors, plus a private report buffer.
 //
 // Ownership / synchronization contract:
 //   * Only the worker thread touches the replica while packets are in
-//     flight.
+//     flight.  It also lowers the replica's chains itself, before the first
+//     burst it executes after each load.
 //   * The demux thread may read or update the replica (merge and clear
 //     banks, drain reports, refresh rules after an update) ONLY between
 //     observing a fence acknowledgement and pushing the next queue item;
@@ -74,25 +75,18 @@ class ShardWorker {
   // only the rule tables whose version changed (Pipeline::
   // refresh_rules_from) and keeping the modules, register banks, sink
   // bindings and hit counters.  The compiled executors are dropped on
-  // every load (a stale CompiledPipeline must NEVER survive one: its ops
-  // hold pointers into the refreshed rule tables), so the replica runs the
-  // interpreter until relower_chains().  Demux thread only; worker must be
-  // quiesced (not yet started, or fenced).
+  // every load because their ops fold in the rules the load replaced (the
+  // banks, sinks and hit cells they point at all survive a refresh); with
+  // jit on, the worker thread lowers the replica again before its next
+  // burst.  Demux thread only; worker must be quiesced (not yet started, or
+  // fenced).
   void load_replica(const Pipeline& pipe, const InitModule& init);
-
-  // Lower the current replica's chains into compiled executors (a no-op
-  // build when jit is off).  Demux thread, quiesced.
-  void relower_chains();
 
   // Executor options for subsequent lowerings: chain compilation on/off
   // (RuntimeOptions::jit).
   void set_exec_options(const compile::ExecOptions& opts) {
     exec_opts_ = opts;
   }
-
-  // Compiled-chain coverage of the current replica (demux thread, worker
-  // quiesced) — feeds the runtime's per-query compiled/interpreted gauge.
-  const compile::CompiledPipeline& jit() const { return jit_; }
 
   void start();  // spawn the thread (idempotent)
   void join();   // wait for the thread after a Stop token
@@ -146,10 +140,12 @@ class ShardWorker {
   Pipeline pipeline_{0};
   compile::CompiledPipeline jit_;
   compile::ExecOptions exec_opts_;
+  bool lower_pending_ = false;  // loaded with jit on, not yet lowered
   std::shared_ptr<InitModule> init_;
   std::vector<SModule*> s_by_stage_;  // typed views into the replica
   // Reusable drain/execute buffers, sized to burst_ once at start: the
-  // steady-state loop allocates nothing (docs/runtime.md "Hot path").
+  // steady-state loop allocates nothing; only the lowering after a load
+  // does, once per reload (docs/runtime.md "Hot path").
   std::vector<WorkItem> batch_;
   std::vector<Phv> phvs_;
   ReportBuffer reports_;

@@ -1,6 +1,5 @@
 #include "sketch/hash.h"
 
-#include <algorithm>
 #include <array>
 
 namespace newton {
@@ -193,15 +192,16 @@ void hash_words_lanes(HashAlgo algo, uint32_t seed, const uint32_t* base,
       break;
   }
   // Mix64 keys per-byte state through splitmix64 — no profitable lane
-  // interleave; delegate to the scalar path on a masked stack copy.  Keys
-  // are operation-key spans (kNumFields words), far under the buffer.
-  std::array<uint32_t, 64> tmp;
-  const std::size_t n = std::min(nwords, tmp.size());
+  // interleave; absorb each lane's masked words in place, exactly as
+  // hash_words' per-word chaining does.
   for (std::size_t l = 0; l < lanes; ++l) {
     const uint32_t* p = base + l * stride_words;
-    for (std::size_t j = 0; j < n; ++j)
-      tmp[j] = p[j] & (masks == nullptr ? 0xffffffffu : masks[j]);
-    out[l] = hash_words(algo, seed, std::span<const uint32_t>(tmp.data(), n));
+    uint32_t h = seed;
+    for (std::size_t j = 0; j < nwords; ++j) {
+      const uint32_t m = masks == nullptr ? 0xffffffffu : masks[j];
+      h = hash_u32(algo, h ^ 0x5bd1e995u, p[j] & m);
+    }
+    out[l] = words_finalize(h, seed);
   }
 }
 

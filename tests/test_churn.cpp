@@ -1,9 +1,9 @@
 // Multi-tenant churn robustness (docs/admission.md): rejected installs are
-// byte-identical no-ops (including racing a concurrent withdraw), JIT
-// recompiles coalesce under install storms, online compaction converts
-// fragmentation rejections into admissions, tenant quotas hold, and a
-// flapping switch ends in FAILED_PERMANENT with clean rollback — never a
-// wedged controller.  This suite runs under TSan in CI.
+// byte-identical no-ops (including racing a concurrent withdraw), every
+// packet stays compiled under every-barrier churn, online compaction
+// converts fragmentation rejections into admissions, tenant quotas hold,
+// and a flapping switch ends in FAILED_PERMANENT with clean rollback —
+// never a wedged controller.  This suite runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -102,6 +102,18 @@ bool same_record(const ReportRecord& a, const ReportRecord& b) {
          a.oper_keys == b.oper_keys && a.hash_result == b.hash_result &&
          a.state_result == b.state_result && a.global_result == b.global_result &&
          a.deferred == b.deferred && a.next_slice == b.next_slice;
+}
+
+auto rec_key(const ReportRecord& r) {
+  return std::tuple(r.qid, r.ts_ns, r.oper_keys, r.hash_result,
+                    r.state_result, r.global_result, r.switch_id);
+}
+
+std::vector<ReportRecord> sorted_records(std::vector<ReportRecord> v) {
+  std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+    return rec_key(a) < rec_key(b);
+  });
+  return v;
 }
 
 // ---------------------------------------------------------------------------
@@ -206,35 +218,31 @@ TEST(RejectedInstall, RacingWithdrawMatchesWithdrawOnlyRun) {
 }
 
 // ---------------------------------------------------------------------------
-// JIT recompile coalescing
+// JIT under continuous churn
 // ---------------------------------------------------------------------------
 
-TEST(JitCoalescing, InstallStormTriggersFewRebuilds) {
-  // A barrier that applies mutations reloads the replicas with lowering
-  // deferred; the next mutation-free barrier lowers once.  A storm of
-  // back-to-back mutation barriers therefore costs one rebuild, taken
-  // after the storm.
-  const Trace t = port_trace(4, 8, 60);
-  constexpr std::size_t kStormInstalls = 12;
+TEST(JitChurn, EveryBarrierMutationStaysCompiled) {
+  // The tenant_churn shape: an install and a withdraw land at every window
+  // barrier, so no barrier is ever mutation-free.  Each worker lowers its
+  // reloaded replica itself before its next burst, so every packet still
+  // runs compiled, with one lowering per reload, and the output matches
+  // the interpreter byte for byte.
+  constexpr std::size_t kWindows = 10;
+  const Trace t = port_trace(4, kWindows, 60);
 
   struct Out {
-    uint64_t rebuilds = 0;
+    uint64_t packets = 0;
+    uint64_t jit_packets = 0;
+    uint64_t recompiles = 0;
     uint64_t mutation_barriers = 0;
-    uint64_t jit_in_storm = 0;  // compiled packets up to the storm's end
-    uint64_t jit_total = 0;
     std::vector<ReportRecord> reports;
   };
-  auto jit_packets = [](const ShardedRuntime& rt) {
-    uint64_t n = 0;
-    for (const WorkerStats& w : rt.stats().workers) n += w.jit_packets;
-    return n;
-  };
-  auto run = [&](bool jit) {
+  auto run = [&](std::size_t shards, bool jit) {
     telemetry::Registry::global().reset();
     Analyzer an;
     NewtonSwitch sw(1, 24, &an, 1 << 14);
     RuntimeOptions ro;
-    ro.num_shards = 1;
+    ro.num_shards = shards;
     ro.jit = jit;
     ShardedRuntime rt(sw, ro, &an);
     ReportBuffer buf;
@@ -244,57 +252,48 @@ TEST(JitCoalescing, InstallStormTriggersFewRebuilds) {
                             static_cast<uint16_t>(20'000 + i)));
     rt.start();
     Out out;
-    std::size_t queued = 0;
-    bool storm_over = false;
-    uint64_t seen_epoch = ~0ull;
+    uint64_t seen_epoch = 0;
     for (const Packet& p : t.packets) {
       const uint64_t epoch = p.ts_ns / 100'000'000ull;
       if (epoch != seen_epoch) {
+        // Queued before the window's first packet: the barrier this packet
+        // triggers applies both.  The churned query shares a base query's
+        // port, so its packets run two chains at once.
         seen_epoch = epoch;
-        if (queued == kStormInstalls && !storm_over) {
-          // The storm's last batch applied at the previous barrier, which
-          // deferred lowering: packets compiled from here on ran on a
-          // rebuild taken after the storm.
-          storm_over = true;
-          out.jit_in_storm = jit_packets(rt);
-        }
-        if (epoch >= 1 && queued < kStormInstalls) {
-          // Three installs per window: a storm of back-to-back mutation
-          // barriers.
-          for (int j = 0; j < 3 && queued < kStormInstalls; ++j, ++queued)
-            rt.install(port_query("storm" + std::to_string(queued),
-                                  static_cast<uint16_t>(21'000 + queued)));
-          ++out.mutation_barriers;
-        }
+        rt.install(port_query("churn" + std::to_string(epoch),
+                              static_cast<uint16_t>(20'000 + epoch % 4)));
+        if (epoch >= 2) rt.withdraw("churn" + std::to_string(epoch - 1));
+        ++out.mutation_barriers;
       }
       rt.process(p);
     }
     rt.finish();
-    out.rebuilds = rt.stats().jit_recompiles;
-    out.jit_total = jit_packets(rt);
-    out.reports = buf.records();
+    for (const WorkerStats& w : rt.stats().workers) {
+      out.packets += w.packets;
+      out.jit_packets += w.jit_packets;
+    }
+    out.recompiles = rt.stats().jit_recompiles;
+    out.reports = sorted_records(buf.records());
     return out;
   };
 
-  const Out on = run(/*jit=*/true);
-  const Out off = run(/*jit=*/false);
-
-  // One rebuild at start and one after the storm, against four mutation
-  // barriers.
-  ASSERT_EQ(on.mutation_barriers, 4u);
-  EXPECT_LT(on.rebuilds, on.mutation_barriers);
-  EXPECT_GE(on.rebuilds, 2u);
-  EXPECT_GT(on.jit_total, on.jit_in_storm) << "no compiled packets after "
-                                              "the storm";
-  EXPECT_EQ(off.rebuilds, 0u);
-  EXPECT_EQ(off.jit_total, 0u);
-
-  // The deferral (and the interpreter windows it runs in the meantime)
-  // must not change a single output byte.
-  ASSERT_EQ(on.reports.size(), off.reports.size());
-  ASSERT_FALSE(on.reports.empty());
-  for (std::size_t i = 0; i < on.reports.size(); ++i)
-    EXPECT_TRUE(same_record(on.reports[i], off.reports[i])) << "record " << i;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const Out on = run(shards, /*jit=*/true);
+    const Out off = run(shards, /*jit=*/false);
+    ASSERT_EQ(on.mutation_barriers, kWindows - 1);
+    EXPECT_EQ(on.packets, t.packets.size());
+    EXPECT_EQ(on.jit_packets, on.packets) << "packets interpreted under churn";
+    // One lowering per reload: the load at start() plus one per barrier
+    // that applied a mutation.
+    EXPECT_EQ(on.recompiles, on.mutation_barriers + 1);
+    EXPECT_EQ(off.recompiles, 0u);
+    EXPECT_EQ(off.jit_packets, 0u);
+    ASSERT_EQ(on.reports.size(), off.reports.size());
+    ASSERT_FALSE(on.reports.empty());
+    for (std::size_t i = 0; i < on.reports.size(); ++i)
+      EXPECT_TRUE(same_record(on.reports[i], off.reports[i])) << "record " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -479,18 +478,6 @@ constexpr std::size_t kBarrierStages = 6;
 constexpr std::size_t kBarrierBank = 3072;
 constexpr std::size_t kFragQueries = 12;
 constexpr uint64_t kBarrierWindowNs = 100'000'000;
-
-auto rec_key(const ReportRecord& r) {
-  return std::tuple(r.qid, r.ts_ns, r.oper_keys, r.hash_result,
-                    r.state_result, r.global_result, r.switch_id);
-}
-
-std::vector<ReportRecord> sorted_records(std::vector<ReportRecord> v) {
-  std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
-    return rec_key(a) < rec_key(b);
-  });
-  return v;
-}
 
 // Mutations queued just before the first packet of window `window`, i.e.
 // applied by the barrier that closes window - 1.

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "analyzer/analyzer.h"
-#include "compile/executor.h"
 #include "core/newton_switch.h"
 #include "core/queries.h"
 #include "core/report.h"
@@ -183,11 +182,12 @@ TEST(CompiledCorpus, JitMatchesInterpreterAt1And4Shards) {
             << "record " << i;
       EXPECT_EQ(on.state, off.state);
       EXPECT_EQ(off.jit_packets, 0u);
+      // Mid-stream mutations included, every packet runs compiled.
+      EXPECT_EQ(on.jit_packets, on.packets);
       jit_packets_total += on.jit_packets;
     }
   }
-  // The corpus must actually exercise the compiled path, not just agree
-  // because everything fell back to the interpreter.
+  // The corpus must actually exercise the compiled path.
   EXPECT_GT(jit_packets_total, 0u);
 }
 
@@ -237,12 +237,6 @@ TEST(CompiledCoverage, BenchQueriesByteIdenticalAt1And4Shards) {
     rt.install(make_q3(p));
     rt.install(make_q5(p));
     rt.start();
-    if (jit) {
-      const auto cov = rt.jit_coverage();
-      EXPECT_FALSE(cov.empty());
-      for (const compile::QueryCoverage& c : cov)
-        EXPECT_TRUE(c.compiled) << "qid " << c.qid << " fell back";
-    }
     for (const Packet& pk : t.packets) rt.process(pk);
     rt.finish();
     RunOut out;
@@ -262,16 +256,19 @@ TEST(CompiledCoverage, BenchQueriesByteIdenticalAt1And4Shards) {
   }
 }
 
-// All six detector-library chains lower to compiled executors (grouped by
-// shard-key family exactly as `newton_tool replay --detectors` installs
-// them).
+// All six detector-library chains run compiled (grouped by shard-key
+// family exactly as `newton_tool replay --detectors` installs them): a
+// replay of the labeled detector trace executes every packet of every
+// group on the compiled executors.
 TEST(CompiledCoverage, DetectorChainsCompile) {
   const auto lib = detectors::detector_library();
   ASSERT_GE(lib.size(), 6u);
   std::vector<const detectors::Detector*> all;
   for (const auto& d : lib) all.push_back(&d);
-  std::size_t chains = 0;
+  const Trace t = make_labeled_attack_trace(42, 20).trace;
+  std::size_t groups = 0;
   for (const auto& g : detectors::group_by_shard_key(all)) {
+    SCOPED_TRACE("group with " + g.members.front()->id);
     Analyzer an;
     NewtonSwitch sw(1, 64, nullptr);  // deep budget: concurrent chains
     RuntimeOptions ro;
@@ -280,20 +277,22 @@ TEST(CompiledCoverage, DetectorChainsCompile) {
     ShardedRuntime rt(sw, ro, &an);
     for (const auto* d : g.members) rt.install(d->query);
     rt.start();
-    const auto cov = rt.jit_coverage();
-    ASSERT_FALSE(cov.empty());
-    for (const compile::QueryCoverage& c : cov)
-      EXPECT_TRUE(c.compiled) << "qid " << c.qid << " in group with "
-                              << g.members.front()->id;
-    chains += cov.size();
+    for (const Packet& pk : t.packets) rt.process(pk);
     rt.finish();
+    uint64_t jit = 0, total = 0;
+    for (const WorkerStats& w : rt.stats().workers) {
+      jit += w.jit_packets;
+      total += w.packets;
+    }
+    EXPECT_EQ(total, t.packets.size());
+    EXPECT_EQ(jit, total);
+    ++groups;
   }
-  // Six detectors, some multi-branch: at least one coverage entry each.
-  EXPECT_GE(chains, 6u);
+  EXPECT_GE(groups, 2u);
 }
 
-// RuntimeOptions::jit = false: the interpreter handles everything and no
-// coverage is published.
+// RuntimeOptions::jit = false: the interpreter handles everything and
+// nothing is ever lowered.
 TEST(CompiledEscapeHatch, OptionDisablesJit) {
   Analyzer an;
   NewtonSwitch sw(1, 24, nullptr);
@@ -304,10 +303,10 @@ TEST(CompiledEscapeHatch, OptionDisablesJit) {
   rt.install(make_q1(p));
   rt.start();
   EXPECT_FALSE(rt.jit_enabled());
-  EXPECT_TRUE(rt.jit_coverage().empty());
   const Trace t = bench_trace(33);
   for (const Packet& pk : t.packets) rt.process(pk);
   rt.finish();
+  EXPECT_EQ(rt.stats().jit_recompiles, 0u);
   uint64_t jit = 0, total = 0;
   for (const WorkerStats& w : rt.stats().workers) {
     jit += w.jit_packets;

@@ -96,7 +96,7 @@ class HashLanes : public ::testing::TestWithParam<HashAlgo> {};
 TEST_P(HashLanes, MatchesScalarPerLane) {
   const HashAlgo algo = GetParam();
   for (std::size_t nwords : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                             std::size_t{5}, std::size_t{9}}) {
+                             std::size_t{5}, std::size_t{9}, std::size_t{70}}) {
     for (std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                               std::size_t{4}, std::size_t{5}, std::size_t{8},
                               std::size_t{17}}) {
