@@ -50,6 +50,7 @@
 #include "core/controller.h"
 #include "core/newton_switch.h"
 #include "core/query.h"
+#include "packet/epoch_clock.h"
 #include "runtime/sharded_runtime.h"
 #include "telemetry/telemetry.h"
 
@@ -160,15 +161,13 @@ int main(int argc, char** argv) {
                {}, "tenant" + std::to_string(i % 8));
   rt.start();
 
-  const uint64_t wns = sw.window_ns();
-  uint64_t seen_epoch = ~0ull;
+  EpochClock clock(sw.window_ns());
   std::size_t window_idx = 0;
   std::size_t churn_idx = 0, churn_installs = 0, churn_withdrawals = 0;
   const uint64_t w0 = wall_ns();
   for (const Packet& p : t.packets) {
-    const uint64_t epoch = p.ts_ns / wns;
-    if (epoch != seen_epoch) {
-      seen_epoch = epoch;
+    if (window_idx == 0 || clock.closes(p.ts_ns)) {  // a window opens
+      clock.advance(p.ts_ns);
       // Queue this window's churn batch: admissible install+withdraw
       // pairs, plus every other window one hopeless install (a register
       // demand no bank can hold) that admission must reject cleanly.

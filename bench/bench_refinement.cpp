@@ -48,7 +48,8 @@ int main() {
     sw.install(compile_query(make_q1(p)));
     for (const Packet& pk : t.packets) sw.process(pk);
     std::string newton_at = sink.size()
-        ? std::to_string(sink.records()[0].ts_ns / 100'000'000)
+        ? std::to_string(
+              EpochClock(sw.window_ns()).epoch_of(sink.records()[0].ts_ns))
         : "missed";
 
     SonataRefinement ref({8, 16, 24, 32}, 100);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "packet/epoch_clock.h"
+
 namespace newton {
 
 void Analyzer::register_qid(uint32_t switch_id, uint16_t qid,
@@ -38,12 +40,13 @@ void Analyzer::report(const ReportRecord& r) {
 Analyzer::QueryStats Analyzer::stats(const std::string& query,
                                      std::size_t branch,
                                      uint64_t window_ns) const {
+  const EpochClock clock(window_ns);
   QueryStats st;
   const BranchKeyed* bk = find(query, branch);
   if (bk == nullptr || bk->by_window.empty()) return st;
   std::set<uint64_t> windows;
   for (const auto& [ts, keys] : bk->by_window)
-    windows.insert(window_ns == 0 ? 0 : ts / window_ns);
+    windows.insert(clock.epoch_of(ts));
   for (const auto& [k, n] : bk->key_counts) st.reports += n;
   st.unique_keys = bk->all.size();
   st.windows = windows.size();
@@ -84,11 +87,12 @@ KeySet Analyzer::detected(const std::string& query, std::size_t branch) const {
 KeySet Analyzer::detected_in_window(const std::string& query,
                                     std::size_t branch, uint64_t window,
                                     uint64_t window_ns) const {
+  const EpochClock clock(window_ns);
   KeySet out;
   const BranchKeyed* bk = find(query, branch);
-  if (bk == nullptr || window_ns == 0) return out;
+  if (bk == nullptr) return out;
   for (const auto& [ts, keys] : bk->by_window)
-    if (ts / window_ns == window) out.insert(keys.begin(), keys.end());
+    if (clock.epoch_of(ts) == window) out.insert(keys.begin(), keys.end());
   return out;
 }
 

@@ -9,7 +9,10 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/query.h"
@@ -20,6 +23,30 @@ namespace newton {
 
 using KeyArray = std::array<uint32_t, kNumFields>;
 using KeySet = std::set<KeyArray>;
+
+// Exact interpreter of one branch over one window's packets: a key set per
+// distinct and a counter map per reduce, by primitive index, so chained
+// stateful primitives do not interfere.  clear() at every window roll.
+class ExactBranch {
+ public:
+  // Run `pkt` through `b`.  Returns the keys the branch reports, or nullopt
+  // when a primitive drops the packet.  A branch without a threshold
+  // reports every surviving packet (map/distinct-terminal chains).  Every
+  // key a reduce counts is added to `reduce_keys` if given.
+  std::optional<KeyArray> eval(const BranchDef& b, const Packet& pkt,
+                               KeySet* reduce_keys = nullptr);
+  void clear();
+
+ private:
+  struct Hash {
+    std::size_t operator()(const KeyArray& k) const;
+  };
+  struct Prim {
+    std::unordered_set<KeyArray, Hash> distinct_seen;
+    std::unordered_map<KeyArray, uint64_t, Hash> counters;
+  };
+  std::map<std::size_t, Prim> prims_;
+};
 
 struct BranchTruth {
   // Window index -> keys whose chain fully passed (incl. threshold).

@@ -2,6 +2,7 @@
 
 #include "baselines/starflow.h"
 #include "baselines/turboflow.h"
+#include "packet/epoch_clock.h"
 #include "sketch/hash.h"
 
 namespace newton {
@@ -9,13 +10,12 @@ namespace newton {
 double overhead_over_trace(ExportModel& m, const Trace& t,
                            uint64_t epoch_ns) {
   if (t.packets.empty()) return 0.0;
-  uint64_t cur_epoch = t.packets.front().ts_ns / epoch_ns;
+  const EpochClock clock(epoch_ns);
+  uint64_t cur_epoch = clock.epoch_of(t.packets.front().ts_ns);
   for (const Packet& p : t.packets) {
-    const uint64_t e = p.ts_ns / epoch_ns;
-    while (e != cur_epoch) {
-      m.on_epoch_end();
-      ++cur_epoch;
-    }
+    // Every elapsed epoch exports, empty ones too; a late packet counts
+    // toward the open epoch.
+    for (; cur_epoch < clock.epoch_of(p.ts_ns); ++cur_epoch) m.on_epoch_end();
     m.on_packet(p);
   }
   m.on_epoch_end();

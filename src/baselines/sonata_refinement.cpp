@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "packet/epoch_clock.h"
+
 namespace newton {
 namespace {
 
@@ -30,7 +32,7 @@ std::vector<SonataRefinement::Detection> SonataRefinement::run(
   std::set<uint32_t> done;
 
   std::map<std::pair<std::size_t, uint32_t>, uint64_t> counters;
-  uint64_t cur_window = UINT64_MAX;
+  EpochClock clock(window_ns_);
 
   auto end_window = [&](uint64_t w) {
     for (const auto& [key, count] : counters) {
@@ -55,10 +57,9 @@ std::vector<SonataRefinement::Detection> SonataRefinement::run(
     if (count_syn_only &&
         !(p.is_tcp() && p.tcp_flags() == kTcpSyn))
       continue;
-    const uint64_t w = window_ns_ == 0 ? 0 : p.ts_ns / window_ns_;
-    if (w != cur_window) {
-      if (cur_window != UINT64_MAX) end_window(cur_window);
-      cur_window = w;
+    if (clock.closes(p.ts_ns)) {
+      end_window(clock.current());
+      clock.advance(p.ts_ns);
     }
     // Level 0 counts unconditionally; deeper levels only for prefixes the
     // previous windows promoted.
@@ -70,7 +71,7 @@ std::vector<SonataRefinement::Detection> SonataRefinement::run(
         ++counters[{li, parent}];
     }
   }
-  if (cur_window != UINT64_MAX) end_window(cur_window);
+  end_window(clock.current());
   return detections;
 }
 

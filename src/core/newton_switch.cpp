@@ -204,11 +204,10 @@ double NewtonSwitch::remove(uint64_t handle) {
 }
 
 void NewtonSwitch::maybe_roll_epoch(uint64_t ts) {
-  const uint64_t epoch = window_ns_ == 0 ? 0 : ts / window_ns_;
-  if (epoch != cur_epoch_) {
+  if (clock_.closes(ts)) {
     reset_state();
     flush_telemetry();
-    cur_epoch_ = epoch;
+    clock_.advance(ts);
   }
 }
 

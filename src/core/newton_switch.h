@@ -16,6 +16,7 @@
 #include "core/range_alloc.h"
 #include "dataplane/pipeline.h"
 #include "dataplane/rule_latency.h"
+#include "packet/epoch_clock.h"
 
 namespace newton {
 
@@ -70,7 +71,8 @@ class NewtonSwitch {
                  bool at_ingress_edge = true);
 
   // --- epoch management (stateful primitives reset every window, §6) ---
-  void set_window_ns(uint64_t w) { window_ns_ = w; }
+  // Sets the window length (> 0) and restarts the clock at epoch 0.
+  void set_window_ns(uint64_t w) { clock_ = EpochClock(w); }
   void reset_state();
 
   // One allocated stateful register slice of an installed query: where it
@@ -104,7 +106,7 @@ class NewtonSwitch {
   InitModule& init_table() { return *init_; }
   const InitModule& init_table() const { return *init_; }
   const Pipeline& pipeline() const { return pipeline_; }
-  uint64_t window_ns() const { return window_ns_; }
+  uint64_t window_ns() const { return clock_.window_ns(); }
   // Publish the pipeline's and init table's accumulated telemetry deltas
   // into the global registry.  Runs automatically at every window roll; call
   // before scraping for an up-to-the-last-packet view of a partial window.
@@ -164,8 +166,7 @@ class NewtonSwitch {
   std::map<uint64_t, SliceRt> slices_;  // keyed by same handle
   uint64_t next_handle_ = 1;
   std::size_t next_free_stage_ = 0;
-  uint64_t window_ns_ = 100'000'000;
-  uint64_t cur_epoch_ = 0;
+  EpochClock clock_{100'000'000};
   uint64_t packets_forwarded_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "core/parse_query.h"
 
 #include <cctype>
+#include <limits>
 #include <map>
 #include <optional>
 
@@ -66,6 +67,7 @@ struct Lexer {
       bool any = false;
       while (at < s.size() &&
              std::isxdigit(static_cast<unsigned char>(s[at]))) {
+        if (v >> 60) throw QueryParseError(start, "number too large");
         v = v * 16 + static_cast<uint64_t>(
                          std::isdigit(static_cast<unsigned char>(s[at]))
                              ? s[at] - '0'
@@ -78,7 +80,10 @@ struct Lexer {
     }
     bool any = false;
     while (at < s.size() && std::isdigit(static_cast<unsigned char>(s[at]))) {
-      v = v * 10 + static_cast<uint64_t>(s[at] - '0');
+      const auto d = static_cast<uint64_t>(s[at] - '0');
+      if (v > (std::numeric_limits<uint64_t>::max() - d) / 10)
+        throw QueryParseError(start, "number too large");
+      v = v * 10 + d;
       ++at;
       any = true;
     }
@@ -266,10 +271,15 @@ Query parse_query(const std::string& name, const std::string& text) {
       any_primitive = true;
     } else if (lx.try_word("window")) {
       lx.expect('(', "after window");
+      const std::size_t pos = lx.at;
       const uint64_t ms = lx.integer();
       if (!lx.try_word("ms"))
         throw QueryParseError(lx.at, "expected 'ms' after window length");
-      b.window_ms(ms);
+      try {
+        b.window_ms(ms);
+      } catch (const std::invalid_argument& e) {
+        throw QueryParseError(pos, e.what());
+      }
       lx.expect(')', "after window");
     } else if (lx.try_word("sketch")) {
       lx.expect('(', "after sketch");

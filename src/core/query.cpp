@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "packet/epoch_clock.h"
+
 namespace newton {
 
 bool cmp_eval(Cmp op, uint64_t lhs, uint64_t rhs) {
@@ -134,7 +136,7 @@ QueryBuilder& QueryBuilder::partition_rows(std::size_t parts) {
 }
 
 QueryBuilder& QueryBuilder::window_ms(uint64_t ms) {
-  q_.window_ns = ms * 1'000'000;
+  q_.window_ns = window_ns_of_ms(ms);
   return *this;
 }
 

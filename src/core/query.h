@@ -132,6 +132,7 @@ class QueryBuilder {
   QueryBuilder& sketch(std::size_t depth, std::size_t width);
   // Split each sketch row across `parts` state banks (CQE register pooling).
   QueryBuilder& partition_rows(std::size_t parts);
+  // Throws std::invalid_argument on 0 or a length whose ns overflow.
   QueryBuilder& window_ms(uint64_t ms);
 
   Query build();

@@ -11,7 +11,7 @@ namespace newton::detectors {
 const ValueSink::ValueMap ValueSink::kEmpty;
 
 void ValueSink::report(const ReportRecord& r) {
-  const uint64_t w = window_ns_ == 0 ? 0 : r.ts_ns / window_ns_;
+  const uint64_t w = clock_.epoch_of(r.ts_ns);
   uint32_t& v = by_qid_[r.qid][WindowKey{w, r.oper_keys}];
   // global_result is the cross-row CM minimum — the sketch's estimate of
   // the running aggregate (state_result is a single row's value, an
@@ -104,11 +104,11 @@ using WindowValues = std::map<uint64_t, std::map<uint32_t, uint64_t>>;
 
 WindowValues exact_window_values(const Trace& t, Field f, uint32_t mask,
                                  uint64_t window_ns, bool bytes) {
+  const EpochClock clock(window_ns);
   WindowValues out;
-  for (const Packet& p : t.packets) {
-    const uint64_t w = window_ns == 0 ? 0 : p.ts_ns / window_ns;
-    out[w][p.get(f) & mask] += bytes ? p.get(Field::PktLen) : 1;
-  }
+  for (const Packet& p : t.packets)
+    out[clock.epoch_of(p.ts_ns)][p.get(f) & mask] +=
+        bytes ? p.get(Field::PktLen) : 1;
   return out;
 }
 
@@ -163,9 +163,10 @@ WindowValues sink_window_values(const EvalInput& in, const std::string& query,
 
 std::pair<uint64_t, uint64_t> trace_window_range(const Trace& t,
                                                  uint64_t window_ns) {
-  if (t.packets.empty() || window_ns == 0) return {0, 0};
-  return {t.packets.front().ts_ns / window_ns,
-          t.packets.back().ts_ns / window_ns};
+  const EpochClock clock(window_ns);
+  if (t.packets.empty()) return {0, 0};
+  return {clock.epoch_of(t.packets.front().ts_ns),
+          clock.epoch_of(t.packets.back().ts_ns)};
 }
 
 KeySet ewma_detect(const WindowValues& wv, Field f, uint64_t floor,

@@ -32,6 +32,7 @@
 #include "analyzer/metrics.h"
 #include "core/query.h"
 #include "core/report.h"
+#include "packet/epoch_clock.h"
 #include "runtime/shard_hash.h"
 #include "trace/trace_gen.h"
 
@@ -48,7 +49,7 @@ class ValueSink : public ReportSink {
   };
   using ValueMap = std::map<WindowKey, uint32_t>;
 
-  explicit ValueSink(uint64_t window_ns) : window_ns_(window_ns) {}
+  explicit ValueSink(uint64_t window_ns) : clock_(window_ns) {}
 
   void report(const ReportRecord& r) override;
 
@@ -57,7 +58,7 @@ class ValueSink : public ReportSink {
   void clear() { by_qid_.clear(); }
 
  private:
-  uint64_t window_ns_;
+  EpochClock clock_;  // window index of a report's timestamp
   std::map<uint16_t, ValueMap> by_qid_;
   static const ValueMap kEmpty;
 };

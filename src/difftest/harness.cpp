@@ -46,8 +46,21 @@ std::size_t bank_size(const Scenario& s) {
   return std::max<std::size_t>(kStateBankRegisters, need);
 }
 
-uint64_t max_window(const Trace& t, uint64_t wns) {
-  return t.packets.empty() ? 0 : t.packets.back().ts_ns / wns;
+// Feed `t` to `on_packet` one packet at a time; `at_crossing(i)` runs
+// before packet i when it opens a window other than the trace's first, so
+// ops apply at window crossings.
+template <class AtCrossing, class OnPacket>
+void replay_windows(const Scenario& s, const Trace& t, AtCrossing at_crossing,
+                    OnPacket on_packet) {
+  EpochClock clock(s.window_ns());
+  for (std::size_t i = 0; i < t.packets.size(); ++i) {
+    const Packet& p = t.packets[i];
+    if (clock.closes(p.ts_ns)) {
+      if (i > 0) at_crossing(i);
+      clock.advance(p.ts_ns);
+    }
+    on_packet(p);
+  }
 }
 
 bool branch_has(const BranchDef& b, PrimitiveKind k) {
@@ -68,9 +81,13 @@ bool calibrated(const Scenario& s) {
 }
 
 // Pull the per-window keysets for the scenario's queries out of an
-// analyzer.  `only_query` restricts to one query index (CQE/fault axes).
-ExecResult collect(const Analyzer& an, const Scenario& s, uint64_t max_w,
+// analyzer, up to the window of the trace's last packet.  `only_query`
+// restricts to one query index (CQE/fault axes).
+ExecResult collect(const Analyzer& an, const Scenario& s, const Trace& t,
                    std::optional<std::size_t> only_query) {
+  const EpochClock clock(s.window_ns());
+  const uint64_t max_w =
+      t.packets.empty() ? 0 : clock.epoch_of(t.packets.back().ts_ns);
   ExecResult r;
   for (std::size_t qi = 0; qi < s.queries.size(); ++qi) {
     if (only_query && qi != *only_query) continue;
@@ -116,18 +133,9 @@ ExecResult run_single(const Scenario& s, const Trace& t, int opt) {
     }
   };
   apply_due(0);
-  const uint64_t wns = s.window_ns();
-  uint64_t cur_w = UINT64_MAX;
-  for (std::size_t i = 0; i < t.packets.size(); ++i) {
-    const uint64_t w = t.packets[i].ts_ns / wns;
-    if (w != cur_w) {
-      if (cur_w != UINT64_MAX) apply_due(i);
-      cur_w = w;
-    }
-    sw.process(t.packets[i]);
-  }
+  replay_windows(s, t, apply_due, [&](const Packet& p) { sw.process(p); });
   sw.flush_telemetry();
-  return collect(an, s, max_window(t, wns), std::nullopt);
+  return collect(an, s, t, std::nullopt);
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +242,7 @@ ExecResult run_runtime(const Scenario& s, const Trace& t,
   rt.finish();
   if (rejected_out) *rejected_out = rt.stats().installs_rejected;
   primary.flush_telemetry();
-  ExecResult r = collect(an, s, max_window(t, s.window_ns()), std::nullopt);
+  ExecResult r = collect(an, s, t, std::nullopt);
   for (const WindowSnapshot& snap : rt.snapshots())
     for (const BranchSnapshot& b : snap.branches) {
       if (b.query.size() < 2 || b.query[0] != 'q') continue;
@@ -285,18 +293,10 @@ ExecResult run_cqe_impl(const Scenario& s, const Trace& t,
     }
   };
   apply_due(0);
-  const uint64_t wns = s.window_ns();
-  uint64_t cur_w = UINT64_MAX;
-  for (std::size_t i = 0; i < t.packets.size(); ++i) {
-    const uint64_t w = t.packets[i].ts_ns / wns;
-    if (w != cur_w) {
-      if (cur_w != UINT64_MAX) apply_due(i);
-      cur_w = w;
-    }
-    net.send(t.packets[i], src, dst);
-  }
+  replay_windows(s, t, apply_due,
+                 [&](const Packet& p) { net.send(p, src, dst); });
   for (int n : net.topo().switches()) net.sw(n).flush_telemetry();
-  return collect(an, s, max_window(t, wns), 0);
+  return collect(an, s, t, 0);
 }
 
 // Capacity exceptions (slicing infeasibility, register-bank exhaustion on
@@ -349,7 +349,7 @@ ExecResult run_fault_impl(const Scenario& s, const Trace& t,
   inj.finish();
   for (int n : net.topo().switches())
     if (net.has_switch(n)) net.sw(n).flush_telemetry();
-  return collect(an, s, max_window(t, s.window_ns()), 0);
+  return collect(an, s, t, 0);
 }
 
 ExecResult run_fault(const Scenario& s, const Trace& t, std::string& skip) {
@@ -399,7 +399,7 @@ ExecResult run_place_impl(const Scenario& s, const Trace& t,
   for (int n : net.topo().switches())
     if (net.has_switch(n)) net.sw(n).flush_telemetry();
   if (scope_out) *scope_out = ctl.fault_stats().replace_scope_switches;
-  return collect(an, s, max_window(t, s.window_ns()), 0);
+  return collect(an, s, t, 0);
 }
 
 // std::logic_error (the placement oracle) is a real divergence; anything
@@ -598,21 +598,15 @@ ExecResult run_churn(const Scenario& s, const Trace& t,
   };
 
   apply_scenario_due(0);
-  const uint64_t wns = s.window_ns();
-  uint64_t cur_w = UINT64_MAX;
-  for (std::size_t i = 0; i < t.packets.size(); ++i) {
-    const uint64_t w = t.packets[i].ts_ns / wns;
-    if (w != cur_w) {
-      if (cur_w != UINT64_MAX) {
+  replay_windows(
+      s, t,
+      [&](std::size_t i) {
         apply_scenario_due(i);
         apply_churn_due(i);
-      }
-      cur_w = w;
-    }
-    sw.process(t.packets[i]);
-  }
+      },
+      [&](const Packet& p) { sw.process(p); });
   sw.flush_telemetry();
-  return collect(an, s, max_window(t, wns), std::nullopt);
+  return collect(an, s, t, std::nullopt);
 }
 
 // ---------------------------------------------------------------------------

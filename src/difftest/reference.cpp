@@ -1,34 +1,9 @@
 #include "difftest/reference.h"
 
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "core/decompose.h"
-
 namespace newton::difftest {
-
-namespace {
-
-struct KeyArrayHash {
-  std::size_t operator()(const KeyArray& k) const {
-    std::size_t h = 0xcbf29ce484222325ull;
-    for (uint32_t v : k) {
-      h ^= v;
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  }
-};
-
-// Per-window interpreter state of one stateful primitive.
-struct PrimState {
-  std::unordered_set<KeyArray, KeyArrayHash> distinct_seen;
-  std::unordered_map<KeyArray, uint64_t, KeyArrayHash> counters;
-};
-
-}  // namespace
 
 KeySet ExecResult::passing_union(std::size_t query, std::size_t branch) const {
   KeySet out;
@@ -56,74 +31,22 @@ ExecResult run_reference(const Scenario& s, const Trace& t) {
   };
   apply_due(0);
 
-  // State keyed by (query, branch, primitive index); cleared every window.
-  std::map<std::tuple<std::size_t, std::size_t, std::size_t>, PrimState> state;
-  const uint64_t wns = s.window_ns();
-  uint64_t cur_w = UINT64_MAX;
-
+  // Exact state per (query, branch); cleared every window.
+  std::map<std::pair<std::size_t, std::size_t>, ExactBranch> state;
+  EpochClock clock(s.window_ns());
   for (std::size_t i = 0; i < t.packets.size(); ++i) {
     const Packet& pkt = t.packets[i];
-    const uint64_t w = wns == 0 ? 0 : pkt.ts_ns / wns;
-    if (w != cur_w) {
-      if (cur_w != UINT64_MAX) apply_due(i);
+    if (clock.closes(pkt.ts_ns)) {
+      apply_due(i);
       state.clear();
-      cur_w = w;
+      clock.advance(pkt.ts_ns);
     }
-
     for (std::size_t qi = 0; qi < live.size(); ++qi) {
       if (!live[qi]) continue;
-      const Query& q = *live[qi];
-      for (std::size_t bi = 0; bi < q.branches.size(); ++bi) {
-        const BranchDef& b = q.branches[bi];
-        KeyArray keys = pkt.fields;
-        uint64_t agg_value = 0;
-        bool alive = true;
-        bool reported = false;
-
-        for (std::size_t pi = 0; pi < b.primitives.size() && alive; ++pi) {
-          const Primitive& p = b.primitives[pi];
-          switch (p.kind) {
-            case PrimitiveKind::Filter:
-              alive = p.pred.eval(pkt);
-              break;
-            case PrimitiveKind::Map: {
-              const auto masks = masks_of(p.keys);
-              for (std::size_t f = 0; f < kNumFields; ++f)
-                keys[f] = pkt.fields[f] & masks[f];
-              break;
-            }
-            case PrimitiveKind::Distinct: {
-              const auto masks = masks_of(p.keys);
-              for (std::size_t f = 0; f < kNumFields; ++f)
-                keys[f] = pkt.fields[f] & masks[f];
-              alive = state[{qi, bi, pi}].distinct_seen.insert(keys).second;
-              break;
-            }
-            case PrimitiveKind::Reduce: {
-              const auto masks = masks_of(p.keys);
-              for (std::size_t f = 0; f < kNumFields; ++f)
-                keys[f] = pkt.fields[f] & masks[f];
-              auto& st = state[{qi, bi, pi}];
-              const uint64_t delta =
-                  p.value_field_is_len ? pkt.get(Field::PktLen) : 1;
-              st.counters[keys] += delta;
-              agg_value = st.counters[keys];
-              out.reduce_universe[{qi, bi}].insert(keys);
-              break;
-            }
-            case PrimitiveKind::When:
-              alive = cmp_eval(p.when_op, agg_value, p.when_value);
-              if (alive && pi + 1 == b.primitives.size()) reported = true;
-              break;
-          }
-        }
-        if (alive) {
-          // A branch that ends without a threshold reports every surviving
-          // packet's keys (map/distinct-terminal chains).
-          (void)reported;
-          out.detected[{qi, bi}][w].insert(keys);
-        }
-      }
+      for (std::size_t bi = 0; bi < live[qi]->branches.size(); ++bi)
+        if (const auto keys =
+                state[{qi, bi}].eval(live[qi]->branches[bi], pkt))
+          out.detected[{qi, bi}][clock.current()].insert(*keys);
     }
   }
   return out;

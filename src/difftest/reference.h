@@ -1,8 +1,9 @@
 // Exact reference interpreter for differential scenarios: evaluates the
-// scenario's query chains with plain maps/sets (no sketches, no RMT
-// pipeline) under the same windowing and op-schedule semantics the data
-// plane uses.  Its per-window passing keysets are the oracle the pipeline
-// executions are compared against (docs/difftest.md, "Oracle semantics").
+// scenario's query chains with plain maps/sets (ExactBranch, the ground
+// truth's interpreter: no sketches, no RMT pipeline) under the same
+// windowing and op-schedule semantics the data plane uses.  Its
+// per-window passing keysets are the oracle the pipeline executions are
+// compared against (docs/difftest.md, "Oracle semantics").
 #pragma once
 
 #include <map>
@@ -19,10 +20,6 @@ namespace newton::difftest {
 struct ExecResult {
   std::map<std::pair<std::size_t, std::size_t>, std::map<uint64_t, KeySet>>
       detected;
-  // Union over windows of every key that reached a reduce aggregation
-  // (reference executor only): the negative universe used to scale the
-  // sketch-noise allowance of the oracle comparison.
-  std::map<std::pair<std::size_t, std::size_t>, KeySet> reduce_universe;
 
   // Merged end-of-window register state per (query, branch) per window
   // (sharded-runtime executors only).  The window merge folds per-worker

@@ -209,6 +209,11 @@ Scenario Scenario::parse(const std::string& text) {
       s.id = std::stoull(toks.at(1));
     } else if (word == "window_ms") {
       s.window_ms = std::stoull(toks.at(1));
+      try {
+        (void)s.window_ns();
+      } catch (const std::invalid_argument& e) {
+        bad_line(no, line, e.what());
+      }
     } else if (word == "opt") {
       s.opt_level = std::stoi(toks.at(1));
     } else if (word == "shards") {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/query.h"
+#include "packet/epoch_clock.h"
 #include "runtime/shard_hash.h"
 #include "trace/trace_gen.h"
 
@@ -99,7 +100,8 @@ struct Scenario {
   std::size_t place_events = 0;
   uint32_t place_seed = 1;
 
-  uint64_t window_ns() const { return window_ms * 1'000'000ull; }
+  // Throws std::invalid_argument on a zero or overflowing window_ms.
+  uint64_t window_ns() const { return window_ns_of_ms(window_ms); }
 
   std::string serialize() const;
   static Scenario parse(const std::string& text);

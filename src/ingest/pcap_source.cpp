@@ -1,7 +1,5 @@
 #include "ingest/pcap_source.h"
 
-#include "packet/wire.h"
-
 namespace newton::ingest {
 
 PcapFileSource::PcapFileSource(const std::string& path)
@@ -9,28 +7,19 @@ PcapFileSource::PcapFileSource(const std::string& path)
 
 std::size_t PcapFileSource::pull(Packet* out, std::size_t max) {
   std::size_t n = 0;
-  while (n < max) {
-    if (!reader_.next()) {
+  for (; n < max; ++n) {
+    if (!reader_.next_packet(out[n])) {
       eof_ = true;
       break;
     }
-    ++stats_.frames;
-    const auto parsed = parse_frame(reader_.frame());
-    if (!parsed) {
-      switch (classify_frame(reader_.frame().data(), reader_.frame().size())) {
-        case FrameKind::Vlan: ++stats_.skipped_vlan; break;
-        case FrameKind::Ipv6: ++stats_.skipped_ipv6; break;
-        default: ++stats_.skipped_other; break;
-      }
-      continue;
-    }
-    out[n] = parsed->packet;
-    out[n].ts_ns = reader_.ts_ns();
-    out[n].wire_len = reader_.orig_len();
     stats_.bytes += out[n].wire_len;
-    ++stats_.packets;
-    ++n;
   }
+  const PcapLoadStats& rs = reader_.stats();
+  stats_.frames = rs.frames;
+  stats_.packets = rs.parsed;
+  stats_.skipped_vlan = rs.skipped_vlan;
+  stats_.skipped_ipv6 = rs.skipped_ipv6;
+  stats_.skipped_other = rs.skipped_other;
   return n;
 }
 

@@ -48,7 +48,7 @@ MergeOp merge_op_for_slices(const std::vector<QuerySlice>& slices) {
 
 AggregationTree::AggregationTree(const Topology& t, ReportSink* downstream,
                                  Options opt)
-    : opt_(opt), downstream_(downstream) {
+    : opt_(opt), clock_(opt.window_ns), downstream_(downstream) {
   if (opt_.fanin < 2) opt_.fanin = 2;
   // Leaves in switch-id order, then level by level: each run of `fanin`
   // same-level nodes shares one parent until a single root remains.
@@ -109,7 +109,7 @@ void AggregationTree::report(const ReportRecord& r) {
   } else {
     k.branch = (static_cast<uint64_t>(r.switch_id) << 16) | r.qid;
   }
-  k.window = opt_.window_ns == 0 ? 0 : r.ts_ns / opt_.window_ns;
+  k.window = clock_.epoch_of(r.ts_ns);
   k.next_slice = r.next_slice;
   k.keys = r.oper_keys;
   const auto [it, fresh] = node.merged.emplace(k, r);

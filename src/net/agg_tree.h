@@ -38,6 +38,7 @@
 #include "core/report.h"
 #include "dataplane/register_array.h"
 #include "net/topology.h"
+#include "packet/epoch_clock.h"
 
 namespace newton {
 
@@ -106,6 +107,7 @@ class AggregationTree : public ReportSink {
   void absorb(Node& parent, Node& child);
 
   Options opt_;
+  EpochClock clock_;  // the merge key's window index
   ReportSink* downstream_;
   std::map<uint32_t, std::size_t> leaf_of_;   // switch id -> leaf node
   std::vector<std::size_t> level_start_;      // node index where level begins

@@ -30,7 +30,8 @@ ShardedRuntime::ShardedRuntime(NewtonSwitch& primary, RuntimeOptions opts,
     : primary_(primary),
       opts_(opts),
       controller_(primary),
-      analyzer_(analyzer) {
+      analyzer_(analyzer),
+      clock_(primary.window_ns()) {
   if (opts_.num_shards == 0)
     throw std::invalid_argument("ShardedRuntime: num_shards must be > 0");
   controller_.set_mutation_guard([this] {
@@ -237,17 +238,11 @@ void ShardedRuntime::start() {
 
 void ShardedRuntime::process(const Packet& pkt) {
   if (!started_) start();
-  const uint64_t wns = primary_.window_ns();
-  const uint64_t epoch = wns == 0 ? 0 : pkt.ts_ns / wns;
-  if (!have_epoch_) {
-    // Match NewtonSwitch::maybe_roll_epoch, which starts at epoch 0: a
-    // trace beginning mid-epoch still closes "window 0" first.
-    cur_epoch_ = 0;
-    have_epoch_ = true;
-  }
-  if (epoch != cur_epoch_) {
+  // The primary's window rule (EpochClock), so 1 shard and N shards and a
+  // lone NewtonSwitch all close the same windows.
+  if (clock_.closes(pkt.ts_ns)) {
     barrier();  // flushes all staged packets first: windows stay exact
-    cur_epoch_ = epoch;
+    clock_.advance(pkt.ts_ns);
   }
   // Hashes address the fixed bucket set; the map redirects buckets whose
   // owner failed over.  Packets stage per bucket and move to the owner's
@@ -410,7 +405,7 @@ void ShardedRuntime::finish() {
   }
   flush_telemetry();
   started_ = false;
-  have_epoch_ = false;
+  clock_.reset();
 }
 
 void ShardedRuntime::barrier() {
@@ -480,7 +475,7 @@ void ShardedRuntime::deliver(const ReportRecord& r) {
 
 std::vector<NewtonSwitch::StateSegment> ShardedRuntime::drain_and_merge() {
   WindowSnapshot snap;
-  snap.window = cur_epoch_;
+  snap.window = clock_.current();
 
   // Reports, in shard order (deterministic given a deterministic demux).
   // Dead workers' final reports were already delivered at failover.
@@ -573,7 +568,7 @@ void ShardedRuntime::apply_mutations() {
       if (!out.admitted()) {
         ++stats_.installs_rejected;
         rejections_.push_back(
-            {m.q.name, m.tenant, std::move(out.decision), cur_epoch_});
+            {m.q.name, m.tenant, std::move(out.decision), clock_.current()});
         continue;
       }
       for (std::size_t bi = 0; bi < out.stats.qids.size(); ++bi) {

@@ -104,7 +104,7 @@ struct BranchSnapshot {
 };
 
 struct WindowSnapshot {
-  uint64_t window = 0;      // ts_ns / window_ns index of the closed window
+  uint64_t window = 0;      // epoch (EpochClock) of the closed window
   std::size_t reports = 0;  // reports drained at this barrier
   std::vector<BranchSnapshot> branches;
 };
@@ -112,7 +112,8 @@ struct WindowSnapshot {
 class ShardedRuntime {
  public:
   // `analyzer` (optional) receives every drained report and gets qid
-  // registrations for queries installed through the runtime.
+  // registrations for queries installed through the runtime.  Windows are
+  // the primary's window length at construction.
   explicit ShardedRuntime(NewtonSwitch& primary, RuntimeOptions opts = {},
                           Analyzer* analyzer = nullptr);
   ~ShardedRuntime();
@@ -276,8 +277,7 @@ class ShardedRuntime {
   std::vector<uint64_t> fences_posted_;  // fences enqueued per worker
   std::size_t live_count_ = 0;
 
-  uint64_t cur_epoch_ = 0;
-  bool have_epoch_ = false;
+  EpochClock clock_;  // the primary's window length
   bool started_ = false;
   bool at_barrier_ = false;   // quiesce guard: controller mutation allowed
   bool replicas_dirty_ = true;

@@ -96,30 +96,35 @@ bool PcapReader::next() {
   return true;
 }
 
+bool PcapReader::next_packet(Packet& out) {
+  while (next()) {
+    ++stats_.frames;
+    const auto parsed = parse_frame(frame_);
+    if (!parsed) {
+      ++stats_.skipped;
+      switch (classify_frame(frame_.data(), frame_.size())) {
+        case FrameKind::Vlan: ++stats_.skipped_vlan; break;
+        case FrameKind::Ipv6: ++stats_.skipped_ipv6; break;
+        default: ++stats_.skipped_other; break;
+      }
+      continue;
+    }
+    out = parsed->packet;
+    out.ts_ns = ts_ns_;
+    out.wire_len = orig_len_;
+    ++stats_.parsed;
+    return true;
+  }
+  return false;
+}
+
 Trace load_pcap(const std::string& path, PcapLoadStats* stats) {
   PcapReader r(path);
   Trace t;
   t.name = path;
-  PcapLoadStats st;
-  while (r.next()) {
-    ++st.frames;
-    const auto parsed = parse_frame(r.frame());
-    if (!parsed) {
-      ++st.skipped;
-      switch (classify_frame(r.frame().data(), r.frame().size())) {
-        case FrameKind::Vlan: ++st.skipped_vlan; break;
-        case FrameKind::Ipv6: ++st.skipped_ipv6; break;
-        default: ++st.skipped_other; break;
-      }
-      continue;
-    }
-    Packet p = parsed->packet;
-    p.ts_ns = r.ts_ns();
-    p.wire_len = r.orig_len();
-    t.packets.push_back(p);
-    ++st.parsed;
-  }
-  if (stats) *stats = st;
+  Packet p;
+  while (r.next_packet(p)) t.packets.push_back(p);
+  if (stats) *stats = r.stats();
   return t;
 }
 

@@ -6,7 +6,7 @@
 // parse as Ethernet/IPv4 are counted and skipped, with 802.1Q-tagged and
 // IPv6 frames attributed to distinct counters.
 //
-// Two readers share the container parsing:
+// Two readers share one parse loop, PcapReader::next_packet:
 //   * load_pcap        — whole-file load into an in-memory Trace;
 //   * PcapReader       — record-at-a-time streaming with bounded memory (one
 //                        reusable frame buffer), the substrate of the live
@@ -48,6 +48,14 @@ class PcapReader {
   uint64_t ts_ns() const { return ts_ns_; }
   uint32_t orig_len() const { return orig_len_; }
 
+  // Advance to the next record that parses as an IPv4 packet and write it
+  // to `out` (ts_ns and wire_len from the record header).  Records that do
+  // not parse are counted in stats() by kind and skipped.  Returns false
+  // on clean EOF; throws like next().
+  bool next_packet(Packet& out);
+  // Records read by next_packet() so far.
+  const PcapLoadStats& stats() const { return stats_; }
+
  private:
   bool u32(uint32_t& v);
 
@@ -57,6 +65,7 @@ class PcapReader {
   std::vector<uint8_t> frame_;
   uint64_t ts_ns_ = 0;
   uint32_t orig_len_ = 0;
+  PcapLoadStats stats_;
 };
 
 // Load an Ethernet pcap into a Trace (timestamps become ts_ns).

@@ -53,6 +53,29 @@ TEST(FlowRadar, PeriodicExportIndependentOfTraffic) {
               static_cast<double>(epochs * 410), 450.0);
 }
 
+// Every elapsed epoch exports once, empty ones too; a late packet counts
+// toward the open epoch instead of rewinding it.
+TEST(ExportModel, EpochEndsCountElapsedEpochsAndLatePacketsTerminate) {
+  struct Counting : ExportModel {
+    uint64_t ends = 0, pkts = 0;
+    void on_packet(const Packet&) override { ++pkts; }
+    void on_epoch_end() override { ++ends; }
+    uint64_t messages() const override { return ends; }
+    std::string name() const override { return "counting"; }
+  };
+  Trace t;
+  for (uint64_t ts : {5, 250, 150, 320}) {
+    Packet p;
+    p.ts_ns = ts;
+    t.packets.push_back(p);
+  }
+  Counting m;
+  overhead_over_trace(m, t, 100);
+  EXPECT_EQ(m.pkts, 4u);
+  // Epoch 0 -> 2 ends two, the late packet none, 2 -> 3 one, the end one.
+  EXPECT_EQ(m.ends, 4u);
+}
+
 TEST(Scream, SketchExportPerEpoch) {
   const Trace t = small_trace();
   ScreamModel m(3, 4'096, 64);

@@ -88,6 +88,31 @@ TEST(DiffScenario, SerializeRoundTrips) {
   }
 }
 
+// A hostile .nds window length fails at parse, on the scenario's bad-line
+// path, instead of dividing by zero (or by a wrapped window) at replay.
+TEST(DiffScenario, ParseRejectsZeroAndOverflowingWindow) {
+  const std::string text = generate_scenario(1).serialize();
+  const auto with_window = [&](const std::string& ms) {
+    const std::size_t at = text.find("window_ms ");
+    const std::size_t end = text.find('\n', at);
+    return text.substr(0, at) + "window_ms " + ms + text.substr(end);
+  };
+  EXPECT_NO_THROW(Scenario::parse(with_window("18446744073709")));
+  for (const char* bad : {"0", "18446744073710", "20000000000000"}) {
+    try {
+      Scenario::parse(with_window(bad));
+      ADD_FAILURE() << "window_ms " << bad << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("scenario line 3: "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  Scenario s = generate_scenario(1);
+  s.window_ms = 0;
+  EXPECT_THROW(s.window_ns(), std::invalid_argument);
+}
+
 TEST(DiffScenario, GenerationIsDeterministic) {
   for (uint64_t seed : {3ull, 99ull, 123456789ull})
     EXPECT_EQ(generate_scenario(seed).serialize(),

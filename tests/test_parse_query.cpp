@@ -97,6 +97,27 @@ TEST(ParseQuery, ErrorsCarryPositions) {
   }
 }
 
+// window(Nms) takes 1.. UINT64_MAX / 1e6 ms: zero, a length whose ns wrap
+// and a number that does not fit 64 bits are parse errors, not windows.
+TEST(ParseQuery, RejectsZeroAndOverflowingWindows) {
+  EXPECT_EQ(parse_query("t", "map(dip) | window(18446744073709ms)").window_ns,
+            18'446'744'073'709'000'000ull);
+  for (const char* bad :
+       {"map(dip) | window(0ms)", "map(dip) | window(20000000000000ms)",
+        "map(dip) | window(18446744073710ms)",
+        "map(dip) | window(18446744073709551617ms)"}) {
+    try {
+      parse_query("t", bad);
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const QueryParseError& e) {
+      EXPECT_EQ(e.position, 18u) << bad;
+    }
+  }
+  EXPECT_THROW(parse_query("t", "when(>= 0x10000000000000000)"),
+               QueryParseError);
+  EXPECT_THROW(QueryBuilder("t").window_ms(0), std::invalid_argument);
+}
+
 TEST(ParseQuery, ParsedQueryRunsLikeBuiltQuery) {
   const Query built = make_q1();
   const Query parsed = parse_query(
